@@ -29,7 +29,6 @@ import pytest
 
 from repro.obs.health import default_rules
 from repro.serve import ModelRegistry, RecommendationService
-from repro.serve.pool import PooledRecommendationService
 from repro.stream import (StreamConfig, StreamManager, parse_events,
                           poisoned_events, synthetic_interactions)
 
@@ -96,8 +95,7 @@ def _firing(payload, rule):
 def _inject_worker_death(lines: list[str]) -> None:
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = RecommendationService(registry, workers=2, max_wait_ms=1.0)
     monitor = service.enable_monitoring(
         interval_s=INTERVAL_S,
         rules=default_rules(window_s=RULE_WINDOW_S, cooldown_s=0.0))
@@ -137,8 +135,9 @@ def _inject_latency_spike(lines: list[str]) -> None:
         rules=default_rules(latency_ceiling_s=0.02, window_s=2.0,
                             cooldown_s=0.0))
     try:
-        batcher = service._batcher(
-            service.registry.get("kwai_food", "sasrec"))
+        batcher = service._batchers.get(
+            ("kwai_food", "sasrec"),
+            service.registry.get("kwai_food", "sasrec").recommender)
         original = batcher.recommend
         with _Load(service, "kwai_food", "sasrec") as load:
             _await(monitor, lambda p: p["samples"] >= 2)

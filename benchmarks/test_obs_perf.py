@@ -188,7 +188,7 @@ def monitored_setup():
     from repro.serve import ModelRegistry, RecommendationService
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = RecommendationService(registry, cache_size=0, batching=False)
+    service = RecommendationService(registry, cache_size=0, max_wait_ms=0)
     histories = request_stream(
         registry.get("kwai_food", "sasrec").dataset, 192, seed=0)
     yield service, histories

@@ -397,20 +397,17 @@ def _build_service(args):
               f"{info['index_nbytes'] / 1024:.0f} KiB, "
               f"retrieval={info['retrieval']['retrieval']})")
     workers = getattr(args, "workers", 0) or 0
+    # Build the service (and fork its pool) before anything starts
+    # threads (HTTP server, stream fine-tune workers): forked children
+    # must never inherit a parent thread's locks mid-flight.
+    service = RecommendationService(registry, workers=workers,
+                                    max_batch=args.max_batch,
+                                    max_wait_ms=args.max_wait_ms,
+                                    cache_size=args.cache_size)
     if workers > 0:
-        # Fork the pool before anything starts threads (HTTP server,
-        # stream fine-tune workers): forked children must never inherit
-        # a parent thread's locks mid-flight.
-        from .serve.pool import PooledRecommendationService
-        service = PooledRecommendationService(
-            registry, workers=workers, max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms, cache_size=args.cache_size)
         print(f"worker pool: {workers} processes "
               f"(shared-memory catalogues, generation-fenced swaps)")
-        return service
-    return RecommendationService(registry, max_batch=args.max_batch,
-                                 max_wait_ms=args.max_wait_ms,
-                                 cache_size=args.cache_size)
+    return service
 
 
 def _configure_obs(args) -> None:

@@ -14,7 +14,7 @@ protocol (PMMRec and every sequential baseline) into an online service:
 * :class:`MicroBatcher` — size/timeout request coalescing + LRU cache;
 * :class:`ModelRegistry` — many (dataset, model) scenarios, one process;
 * :class:`RecommendationService` + :mod:`~repro.serve.http` — the JSON
-  endpoint behind ``repro serve``;
+  endpoint behind ``repro serve``, in-process or over a :class:`WorkerPool`;
 * :mod:`~repro.serve.bench` — p50/p99/QPS measurement for
   ``repro bench-serve`` plus the recall@k-vs-QPS retrieval benchmark.
 
@@ -23,7 +23,7 @@ See ``docs/serving.md`` for the architecture and the endpoint contract.
 
 from .ann import (ANN_KINDS, AnnIndex, AnnSearch, IVFIndex, LSHIndex,
                   make_ann_index)
-from .batcher import BatcherClosed, BatcherStats, LRUCache, MicroBatcher
+from .batcher import BatcherStats, BatcherTable, LRUCache, MicroBatcher
 from .bench import (BenchReport, KeepAliveClient, RetrievalReport,
                     bench_full_sort_path, bench_pool_scaling,
                     bench_retrieval, bench_topk_path, compare_paths,
@@ -32,16 +32,12 @@ from .bench import (BenchReport, KeepAliveClient, RetrievalReport,
                     synthetic_catalog, synthetic_queries)
 from .http import RecommendationServer, make_server, serve_forever
 from .index import CatalogIndex, FrozenCatalogIndex
+from .pool import PoolError, SharedCatalogStore, WorkerDied, WorkerPool
 from .recommender import Recommendation, Recommender, RetrievalStats
 from .registry import ModelRegistry, Scenario, ScenarioSpec, build_model
 from .scoring import (batch_scorer, encode_queries, model_max_len,
                       score_batch, supports_kernel)
 from .service import RecommendationService
-
-# After .service: the pool builds on the in-process service and would
-# otherwise form an import cycle through the package root.
-from .pool import (PoolError, PooledRecommendationService,  # noqa: E402
-                   SharedCatalogStore, WorkerDied, WorkerPool)
 
 __all__ = [
     "score_batch", "encode_queries", "batch_scorer", "supports_kernel",
@@ -50,10 +46,9 @@ __all__ = [
     "ANN_KINDS", "AnnIndex", "AnnSearch", "IVFIndex", "LSHIndex",
     "make_ann_index",
     "Recommendation", "Recommender", "RetrievalStats",
-    "MicroBatcher", "LRUCache", "BatcherStats", "BatcherClosed",
+    "MicroBatcher", "LRUCache", "BatcherStats", "BatcherTable",
     "ModelRegistry", "Scenario", "ScenarioSpec", "build_model",
-    "RecommendationService",
-    "PooledRecommendationService", "WorkerPool", "SharedCatalogStore",
+    "RecommendationService", "WorkerPool", "SharedCatalogStore",
     "PoolError", "WorkerDied",
     "RecommendationServer", "make_server", "serve_forever",
     "BenchReport", "bench_topk_path", "bench_full_sort_path",

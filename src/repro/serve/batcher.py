@@ -8,6 +8,10 @@ trigger) or the oldest request has waited ``max_wait_ms`` (*timeout*
 trigger). Repeat users hit an LRU cache keyed on the history hash, the
 requested ``k`` and the catalogue index version, and never reach the
 model at all.
+
+A batcher lives as long as its scenario is served: a new generation
+retargets it with :meth:`MicroBatcher.swap`, so its queue and counters
+carry across hot swaps.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -23,17 +28,7 @@ import numpy as np
 from ..obs import metrics, trace
 from .recommender import Recommendation, Recommender
 
-__all__ = ["BatcherClosed", "BatcherStats", "LRUCache", "MicroBatcher"]
-
-
-class BatcherClosed(RuntimeError):
-    """Raised by :meth:`MicroBatcher.submit` after :meth:`MicroBatcher.close`.
-
-    A distinct type so the service can tell the benign hot-swap race (a
-    request routed to a batcher an instant before its scenario was
-    swapped out) from real runtime errors, and transparently retry
-    against the replacement batcher instead of dropping the request.
-    """
+__all__ = ["BatcherStats", "BatcherTable", "LRUCache", "MicroBatcher"]
 
 
 @dataclass
@@ -47,17 +42,6 @@ class BatcherStats:
     cache_hits: int = 0
     cache_misses: int = 0
     largest_batch: int = 0
-
-    def to_json(self) -> dict:
-        out = dict(self.__dict__)
-        out["mean_batch"] = (self.coalesced / self.batches
-                             if self.batches else 0.0)
-        return out
-
-    @property
-    def coalesced(self) -> int:
-        """Requests that went through a flushed batch (misses only)."""
-        return self.cache_misses
 
 
 class LRUCache:
@@ -152,6 +136,9 @@ class MicroBatcher:
             "submit-to-flush wait of batched requests", labels=scope)
         self._pending: list[_Pending] = []
         self._cond = threading.Condition()
+        # Held for the whole of every batch: swap() takes it to wait out
+        # the batch in flight, so each batch reads one recommender.
+        self._run_lock = threading.Lock()
         self._closed = False
         self._thread: threading.Thread | None = None
         if start:
@@ -169,7 +156,7 @@ class MicroBatcher:
         ctx = trace.current()
         with self._cond:
             if self._closed:
-                raise BatcherClosed("MicroBatcher is closed")
+                raise RuntimeError("MicroBatcher is closed")
             self.stats.requests += 1
             self._m_requests.inc()
             # A stale index means the current version number still names
@@ -249,29 +236,32 @@ class MicroBatcher:
         # All requests in a batch share one k so the top-k pass is a single
         # matrix operation; mixed-k batches use the largest and truncate.
         k_max = max(p.k for p in batch)
-        try:
-            with trace.activate(batch_ctx):
-                results = self.recommender.recommend_batch(
-                    [p.history for p in batch], k=k_max)
-        except Exception as exc:  # propagate to every waiter
-            for pending in batch:
+        with self._run_lock:
+            try:
+                with trace.activate(batch_ctx):
+                    results = self.recommender.recommend_batch(
+                        [p.history for p in batch], k=k_max)
+            except Exception as exc:  # propagate to every waiter
+                for pending in batch:
+                    if not pending.future.cancelled():
+                        pending.future.set_exception(exc)
+                return
+            if batch_ctx is not None:
+                for pending in traced:
+                    pending.trace.extend(batch_ctx.spans)
+            for pending, result in zip(batch, results):
+                if pending.k < len(result.items):
+                    result = Recommendation(
+                        items=result.items[:pending.k],
+                        scores=result.scores[:pending.k],
+                        index_version=result.index_version)
+                # Cache under the index version that actually produced
+                # the answer — a refresh may have landed after submit
+                # keyed it.
+                self.cache.put((pending.key[0], pending.k,
+                                result.index_version), result)
                 if not pending.future.cancelled():
-                    pending.future.set_exception(exc)
-            return
-        if batch_ctx is not None:
-            for pending in traced:
-                pending.trace.extend(batch_ctx.spans)
-        for pending, result in zip(batch, results):
-            if pending.k < len(result.items):
-                result = Recommendation(items=result.items[:pending.k],
-                                        scores=result.scores[:pending.k],
-                                        index_version=result.index_version)
-            # Cache under the index version that actually produced the
-            # answer — a refresh may have landed after submit keyed it.
-            self.cache.put((pending.key[0], pending.k,
-                            result.index_version), result)
-            if not pending.future.cancelled():
-                pending.future.set_result(result)
+                    pending.future.set_result(result)
 
     def flush_pending(self) -> int:
         """Flush everything queued right now (manual mode); returns count."""
@@ -308,6 +298,21 @@ class MicroBatcher:
                 batch = self._drain()
             self._execute(batch, trigger)
 
+    # -- generations ---------------------------------------------------------
+
+    def swap(self, adopt: Callable[[], Recommender]) -> None:
+        """Serve a new generation: the recommender ``adopt()`` returns.
+
+        Waits for the batch in flight, runs ``adopt`` while no batch can
+        start — a pool worker loads new weights into its resident model
+        there — then drops the LRU cache. Every later batch, including
+        requests already queued, runs on the new recommender; no batch
+        runs on the old one after this returns.
+        """
+        with self._run_lock:
+            self.recommender = adopt()
+            self.cache = LRUCache(self.cache.capacity)
+
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -325,3 +330,58 @@ class MicroBatcher:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class BatcherTable:
+    """One long-lived :class:`MicroBatcher` per scenario key.
+
+    Both serving tiers run this table — the in-process service in its
+    own process, every pool worker in its process — so per-scenario
+    batching and :meth:`counters` read the same on either tier.
+    Batchers are created on first use and closed only by :meth:`close`;
+    a generation change goes through :meth:`MicroBatcher.swap`.
+    """
+
+    def __init__(self, max_batch: int = 32, max_wait_ms: float = 2.0,
+                 cache_size: int = 1024):
+        self._settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
+                          "cache_size": cache_size}
+        self._batchers: dict[tuple[str, str], MicroBatcher] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def get(self, key: tuple[str, str],
+            recommender: Recommender | None = None) -> MicroBatcher | None:
+        """The batcher for ``key``, built around ``recommender`` if new.
+
+        Returns ``None`` for an unknown key when no recommender is given.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("service is closed")
+            batcher = self._batchers.get(key)
+            if batcher is None and recommender is not None:
+                batcher = self._batchers[key] = MicroBatcher(
+                    recommender, metrics_label=f"{key[0]}:{key[1]}",
+                    **self._settings)
+            return batcher
+
+    def counters(self) -> dict[str, dict]:
+        """Per-scenario batcher counters, keyed ``dataset:model``."""
+        with self._lock:
+            batchers = list(self._batchers.items())
+        return {f"{d}:{m}": dict(
+                    vars(batcher.stats),
+                    queue_depth=batcher.queue_depth,
+                    index_version=batcher.recommender.index_version,
+                    retrieval=batcher.recommender.describe_retrieval())
+                for (d, m), batcher in batchers}
+
+    def close(self) -> None:
+        """Close every batcher, draining what is still queued."""
+        with self._lock:
+            self._closed = True
+            batchers = list(self._batchers.values())
+            self._batchers.clear()
+        for batcher in batchers:
+            batcher.close()

@@ -415,7 +415,6 @@ def bench_pool_scaling(dataset_name: str, model_name: str, *,
     from dataclasses import replace as _replace
 
     from .http import make_server
-    from .pool import PooledRecommendationService
     from .registry import ModelRegistry, ScenarioSpec
     from .service import RecommendationService
 
@@ -469,19 +468,15 @@ def bench_pool_scaling(dataset_name: str, model_name: str, *,
                         batch_size=client_threads)
 
     reports: list[BenchReport] = []
-    for count in worker_counts:
-        service = PooledRecommendationService(
-            registry, workers=int(count), max_batch=max_batch,
-            max_wait_ms=max_wait_ms)
-        try:
-            reports.append(run_leg(f"pool-{count}w", service))
-        finally:
-            service.close()
+    legs = [(f"pool-{count}w", int(count)) for count in worker_counts]
     if include_inprocess:
-        service = RecommendationService(registry, max_batch=max_batch,
+        legs.append(("in-process", 0))
+    for name, workers in legs:
+        service = RecommendationService(registry, workers=workers,
+                                        max_batch=max_batch,
                                         max_wait_ms=max_wait_ms)
         try:
-            reports.append(run_leg("in-process", service))
+            reports.append(run_leg(name, service))
         finally:
             service.close()
     base = next((r for r in reports if r.name == "pool-1w"), reports[0])

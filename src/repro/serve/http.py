@@ -44,10 +44,11 @@ Endpoint contract (all bodies JSON):
     (``{"version": int, "kind": "full"|"catalog", "latency_ms": ...}``)
 
 Errors come back as ``{"error": <message>}`` with status 400 (bad
-request), 404 (unknown route/scenario) or 500; unexpected failures
-additionally carry ``"error_type"`` (the exception class) and the full
-traceback is logged server-side — the client gets a well-formed JSON
-500, never a hung connection or a silent swallow.
+request), 404 (unknown route/scenario) or 500 — the same on every
+serving tier, since one service validates every request. Unexpected
+failures additionally carry ``"error_type"`` (the exception class) and
+the full traceback is logged server-side — the client gets a
+well-formed JSON 500, never a hung connection or a silent swallow.
 """
 
 from __future__ import annotations
@@ -176,31 +177,18 @@ class _Handler(BaseHTTPRequestHandler):
         path, _, query = self.path.partition("?")
         try:
             if path == "/health":
-                # The service's self-monitor decides readiness; duck
-                # services without the hook answer the legacy shape.
-                health = getattr(service, "health", None)
-                payload = health() if health is not None else \
-                    {"status": "ok", "monitoring": False,
-                     "scenarios": len(service.registry)}
+                # The service's self-monitor decides readiness.
+                payload = service.health()
                 status = 503 if payload.get("status") == "failing" else 200
                 self._send(payload, status=status)
             elif path == "/alerts":
-                alerts = getattr(service, "alerts", None)
-                self._send(alerts() if alerts is not None else
-                           {"monitoring": False, "status": "ok",
-                            "active": [], "history": [], "rules": []})
+                self._send(service.alerts())
             elif path == "/timeline":
                 params = parse_qs(query)
                 metric = params.get("metric", [None])[0]
                 window = params.get("window", [None])[0]
-                exporter = getattr(service, "timeline_export", None)
-                if exporter is None:
-                    self._send({"monitoring": False, "metrics": [],
-                                "series": []})
-                else:
-                    self._send(exporter(
-                        metric,
-                        window_s=float(window) if window else None))
+                self._send(service.timeline_export(
+                    metric, window_s=float(window) if window else None))
             elif path == "/scenarios":
                 self._send(service.scenarios())
             elif path == "/stats":
@@ -208,11 +196,8 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/metrics":
                 # The service decides what one scrape means: in-process
                 # renders the global registry, the pooled tier merges
-                # per-worker expositions into it. Duck services without
-                # the hook fall back to the process-global render.
-                renderer = getattr(service, "metrics_text",
-                                   metrics.render_prometheus)
-                self._send_bytes(renderer().encode(),
+                # per-worker expositions into it.
+                self._send_bytes(service.metrics_text().encode(),
                                  "text/plain; version=0.0.4")
             else:
                 self._error(f"unknown route {self.path!r}", 404)
@@ -225,10 +210,6 @@ class _Handler(BaseHTTPRequestHandler):
                    t_parsed: float) -> None:
         """The traced hot route: parse → (batcher) → respond spans."""
         service = self.server.service
-        history = payload.get("history")
-        if not isinstance(history, list) or not history:
-            raise ValueError("'history' must be a non-empty list "
-                             "of item ids")
         dataset = str(payload.get("dataset", ""))
         model = str(payload.get("model", ""))
         ctx = trace.start("request", "/recommend",
@@ -240,8 +221,10 @@ class _Handler(BaseHTTPRequestHandler):
             ctx.add_span("parse", t_request, t_parsed)
             self._trace_id = ctx.trace_id
         with trace.activate(ctx):
-            result = service.recommend(dataset, model, history,
-                                       k=int(payload.get("k", 10)))
+            # The service validates history and k on every tier.
+            result = service.recommend(dataset, model,
+                                       payload.get("history"),
+                                       k=payload.get("k", 10))
         if ctx is None:
             self._send(result)
             return

@@ -14,19 +14,19 @@ old-or-new-ranks-only hot-swap contract (PR 5/6):
 * :class:`WorkerPool` forks N worker processes (fork, not spawn: the
   registry's datasets and models transfer by copy-on-write page, never
   by pickle) and dispatches requests over per-worker pipes. Each worker
-  runs its own :class:`~repro.serve.batcher.MicroBatcher`, so batching
+  runs its own :class:`~repro.serve.batcher.BatcherTable`, so batching
   still amortizes GEMMs inside every process.
 * Hot swaps run through a **generation fence**: the parent publishes
   the new generation's segment, sends a ``swap`` control message down
   every worker pipe, and waits for every live worker to ack before the
-  old segment is unlinked. Pipe FIFO ordering is the correctness
-  argument — every request a worker received before the ``swap``
-  message is drained by the retiring batcher (old generation), every
-  request after it lands on the new one. No request is dropped, and no
-  response ever mixes generations.
-* :class:`PooledRecommendationService` is a drop-in for
-  :class:`~repro.serve.service.RecommendationService`: the HTTP front,
-  the CLI and the streaming manager talk to the same duck surface.
+  old segment is unlinked. Each worker acks once
+  :meth:`~repro.serve.batcher.MicroBatcher.swap` has waited out its
+  batch in flight and retargeted the batcher, so after the fence no
+  batch runs on the old generation anywhere. No request is dropped, and
+  no response ever mixes generations.
+* :class:`~repro.serve.service.RecommendationService` with
+  ``workers=N`` is the facade over this pool; the HTTP front, the CLI
+  and the streaming manager never see the difference.
 
 Requires POSIX ``fork`` and scenarios whose models expose
 ``encode_catalog`` (there is no matrix to share otherwise). Workers
@@ -51,13 +51,15 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..obs import metrics
-from .batcher import MicroBatcher
+from .batcher import BatcherTable
 from .index import FrozenCatalogIndex
+from .recommender import Recommender
 from .registry import ModelRegistry, Scenario
-from .service import SelfMonitoring
 
-__all__ = ["PoolError", "WorkerDied", "SharedCatalogStore", "WorkerPool",
-           "PooledRecommendationService"]
+__all__ = ["PoolError", "WorkerDied", "SharedCatalogStore", "WorkerPool"]
+
+#: How long a generation fence waits for the workers' acks.
+FENCE_TIMEOUT_S = 60.0
 
 
 class PoolError(RuntimeError):
@@ -222,88 +224,47 @@ class _DatasetView:
 class _WorkerScenario:
     """One scenario's serving state inside a worker process."""
 
-    __slots__ = ("spec", "model", "base_dataset", "segment", "recommender",
-                 "batcher", "generation", "version")
+    __slots__ = ("model", "base_dataset", "segment", "generation")
 
-    def __init__(self, spec, model, base_dataset, segment, recommender,
-                 batcher, generation, version):
-        self.spec = spec
-        self.model = model
-        self.base_dataset = base_dataset
-        self.segment = segment
-        self.recommender = recommender
-        self.batcher = batcher
-        self.generation = generation
-        self.version = version
+    def __init__(self, scenario: Scenario):
+        self.model = scenario.model
+        self.base_dataset = scenario.dataset
+        self.segment = None
+        self.generation = 0
 
-    def release(self) -> None:
-        """Drop every reference into the segment, then unmap it."""
-        self.recommender = None
-        self.batcher = None
-        segment, self.segment = self.segment, None
-        if segment is not None:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - lingering view
-                # Something still borrows the buffer; the parent already
-                # unlinked the name, so the pages die with the process.
-                pass
+    def adopt(self, registry: ModelRegistry, segment_name: str, version: int,
+              num_items: int, generation: int,
+              model_changed: bool) -> Recommender:
+        """Map one generation's segment and build its recommender.
 
-
-def _adopt(registry: ModelRegistry, spec, model, base_dataset,
-           segment_name: str, version: int, num_items: int, generation: int,
-           model_changed: bool, settings: dict) -> _WorkerScenario:
-    """Attach one generation's segment and build the serving stack on it."""
-    segment, views = SharedCatalogStore.attach(segment_name)
-    weights = {name[2:]: array for name, array in views.items()
-               if name.startswith("w:")}
-    if model_changed and weights:
-        model.load_state_dict(weights)      # copies out of the segment
-    dataset = _DatasetView(base_dataset, num_items)
-    index = FrozenCatalogIndex(views["catalog"], version=version,
-                               num_items=num_items)
-    scenario = registry.build_scenario(spec, dataset, model, index=index)
-    batcher = MicroBatcher(scenario.recommender,
-                           max_batch=settings["max_batch"],
-                           max_wait_ms=settings["max_wait_ms"],
-                           cache_size=settings["cache_size"],
-                           start=settings["batching"],
-                           metrics_label=f"{spec.key[0]}:{spec.key[1]}")
-    return _WorkerScenario(spec=spec, model=model, base_dataset=base_dataset,
-                           segment=segment, recommender=scenario.recommender,
-                           batcher=batcher, generation=generation,
-                           version=version)
+        Full-swap weights load into the resident model in place, so
+        this runs inside :meth:`MicroBatcher.swap`, while no batch does.
+        The caller closes the previous segment once the swap is done.
+        """
+        segment, views = SharedCatalogStore.attach(segment_name)
+        dataset = _DatasetView(self.base_dataset, num_items)
+        index = FrozenCatalogIndex(views["catalog"], version=version,
+                                   num_items=num_items)
+        recommender = registry.build_recommender(self.model, dataset,
+                                                 index=index)
+        weights = {name[2:]: array for name, array in views.items()
+                   if name.startswith("w:")}
+        if model_changed and weights:
+            self.model.load_state_dict(weights)  # copies out of the segment
+        self.segment, self.generation = segment, generation
+        return recommender
 
 
-def _flip(registry: ModelRegistry, state: _WorkerScenario, segment_name: str,
-          version: int, num_items: int, generation: int, model_changed: bool,
-          settings: dict) -> _WorkerScenario:
-    """Swap one worker scenario to a new generation (old-or-new contract).
-
-    Closing the old batcher *first* drains every request received before
-    the ``swap`` control message against the old generation; requests
-    received after it build against the new one. Both sides of the fence
-    therefore serve whole-generation ranks only.
-    """
-    state.batcher.close()
-    fresh = _adopt(registry, state.spec, state.model, state.base_dataset,
-                   segment_name, version, num_items, generation,
-                   model_changed, settings)
-    state.release()
-    return fresh
-
-
-def _worker_stats(states: dict) -> dict:
-    out: dict = {"pid": os.getpid(), "scenarios": {}}
-    for (dataset, model), state in states.items():
-        counters = state.batcher.stats.to_json()
-        counters.update(
-            generation=state.generation,
-            index_version=state.version,
-            queue_depth=state.batcher.queue_depth,
-            retrieval=state.recommender.describe_retrieval())
-        out["scenarios"][f"{dataset}:{model}"] = counters
-    return out
+def _close_segment(segment) -> None:
+    """Unmap a segment nothing serves from any more."""
+    if segment is None:
+        return
+    try:
+        segment.close()
+    except BufferError:  # pragma: no cover - lingering view
+        # Something still borrows the buffer; the parent already
+        # unlinked the name, so the pages die with the process.
+        pass
 
 
 def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
@@ -316,14 +277,13 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
     # The fork copied the parent's metric shards; zero them so the
     # cross-process merge never double-counts pre-fork history.
     metrics.REGISTRY.reset()
+    table = BatcherTable(**settings)
     states: dict[tuple[str, str], _WorkerScenario] = {}
     for key, info in boot.items():
-        scenario = registry.get(*key)
-        states[key] = _adopt(registry, scenario.spec, scenario.model,
-                             scenario.dataset, info["segment"],
-                             info["version"], info["num_items"],
-                             info["generation"], model_changed=False,
-                             settings=settings)
+        state = states[key] = _WorkerScenario(registry.get(*key))
+        table.get(key, state.adopt(registry, info["segment"], info["version"],
+                                   info["num_items"], info["generation"],
+                                   model_changed=False))
     send_lock = threading.Lock()
 
     def reply(message) -> None:
@@ -349,13 +309,13 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
         kind = message[0]
         if kind == "req":
             _, req_id, key, history, k = message
-            state = states.get(tuple(key))
-            if state is None:
+            batcher = table.get(tuple(key))
+            if batcher is None:
                 reply(("err", req_id, "KeyError",
                        f"no scenario {key[0]}:{key[1]} in worker"))
                 continue
             try:
-                future = state.batcher.submit(history, k=k)
+                future = batcher.submit(history, k=k)
             except Exception as exc:
                 reply(("err", req_id, type(exc).__name__, str(exc)))
                 continue
@@ -364,29 +324,37 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
         elif kind == "swap":
             (_, token, key, generation, segment_name, version, num_items,
              model_changed) = message
+            key = tuple(key)
+            state = states[key]
+            previous = state.segment
             error = None
             try:
-                states[tuple(key)] = _flip(
-                    registry, states[tuple(key)], segment_name, version,
-                    num_items, generation, model_changed, settings)
+                table.get(key).swap(lambda: state.adopt(
+                    registry, segment_name, version, num_items, generation,
+                    model_changed))
+                _close_segment(previous)
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
             reply(("ack", token, error))
         elif kind == "stats":
-            reply(("stats", message[1], _worker_stats(states)))
+            counters = table.counters()
+            for (dataset, model), state in states.items():
+                counters[f"{dataset}:{model}"]["generation"] = \
+                    state.generation
+            reply(("stats", message[1],
+                   {"pid": os.getpid(), "scenarios": counters}))
         elif kind == "metrics":
             reply(("metrics", message[1], metrics.render_prometheus()))
         elif kind == "stop":
-            for state in states.values():
-                state.batcher.close()      # drain everything still queued
+            table.close()                  # drain everything still queued
             reply(("bye", message[1]))
             running = False
+    try:
+        table.close()
+    except Exception:  # pragma: no cover - teardown best effort
+        pass
     for state in states.values():
-        try:
-            state.batcher.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-        state.release()
+        _close_segment(state.segment)
     try:
         conn.close()
     except Exception:  # pragma: no cover - teardown best effort
@@ -431,8 +399,7 @@ class WorkerPool:
 
     def __init__(self, registry: ModelRegistry, workers: int = 2,
                  max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 1024, batching: bool = True,
-                 fence_timeout_s: float = 60.0):
+                 cache_size: int = 1024):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if len(registry) == 0:
@@ -440,9 +407,8 @@ class WorkerPool:
                             "registry")
         context = _fork_context()
         self.registry = registry
-        self.fence_timeout_s = fence_timeout_s
         self._settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                          "cache_size": cache_size, "batching": batching}
+                          "cache_size": cache_size}
         self._store = SharedCatalogStore()
         self._seq = itertools.count(1)
         self._rr = 0
@@ -666,9 +632,9 @@ class WorkerPool:
         Returns timing/ack info: ``publish_s`` (segment write),
         ``fence_s`` (ack wait), ``drain_s`` (old-segment unlink). The
         old segment is unlinked only after every live worker acked the
-        flip — by then each worker's old batcher has drained its last
-        old-generation request, so nothing still *needs* the name (and
-        existing maps survive an unlink regardless).
+        flip — by then no worker runs a batch on the old generation, so
+        nothing still *needs* the name (and existing maps survive an
+        unlink regardless).
         """
         key = scenario.spec.key
         index = scenario.recommender.index
@@ -693,7 +659,7 @@ class WorkerPool:
                 "swap", (key, generation, segment_name, version,
                          scenario.dataset.num_items, model_changed))
             acked, errors = 0, []
-            deadline = time.monotonic() + self.fence_timeout_s
+            deadline = time.monotonic() + FENCE_TIMEOUT_S
             for handle, future in waits:
                 remaining = max(deadline - time.monotonic(), 0.001)
                 try:
@@ -721,8 +687,7 @@ class WorkerPool:
                     "errors": errors,
                     "publish_s": published - tick,
                     "fence_s": fenced - published,
-                    "drain_s": done - fenced,
-                    "fence_ms": (fenced - published) * 1e3}
+                    "drain_s": done - fenced}
             self._fence_state = {"state": "complete",
                                  "scenario": f"{key[0]}:{key[1]}",
                                  "generation": generation, "acked": acked,
@@ -757,8 +722,7 @@ class WorkerPool:
             per_worker.append(entry)
         return {"mode": "pool", "workers": len(self._workers),
                 "alive": self.alive(), "generations": self.generations(),
-                "fence": dict(self._fence_state,
-                              timeout_s=self.fence_timeout_s),
+                "fence": dict(self._fence_state, timeout_s=FENCE_TIMEOUT_S),
                 "per_worker": per_worker}
 
     def metrics_texts(self, timeout: float = 10.0) -> list[str]:
@@ -809,161 +773,8 @@ class WorkerPool:
         metrics.gauge("repro_pool_workers_total").set_function(None)
 
 
-class PooledRecommendationService(SelfMonitoring):
-    """Drop-in :class:`RecommendationService` over a process pool.
-
-    Same duck surface as the in-process service (the HTTP front, CLI
-    and streaming manager cannot tell them apart); requests are
-    dispatched to forked workers instead of an in-parent batcher, and
-    hot swaps run through the generation fence (:meth:`publish_generation`).
-    """
-
-    def __init__(self, registry: ModelRegistry, workers: int = 2,
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 1024, batching: bool = True,
-                 fence_timeout_s: float = 60.0):
-        self.registry = registry
-        self.workers = workers
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.cache_size = cache_size
-        self.batching = batching
-        self.stream = None
-        self.pool = WorkerPool(registry, workers=workers, max_batch=max_batch,
-                               max_wait_ms=max_wait_ms, cache_size=cache_size,
-                               batching=batching,
-                               fence_timeout_s=fence_timeout_s)
-        self._latency: dict[tuple[str, str], metrics.Histogram] = {}
-        self._closed = False
-
-    @property
-    def shm_prefix(self) -> str:
-        return self.pool.shm_prefix
-
-    # -- request API ---------------------------------------------------------
-
-    def recommend(self, dataset: str, model: str, history,
-                  k: int = 10) -> dict:
-        if self._closed:
-            raise RuntimeError("service is closed")
-        start = time.perf_counter()
-        self.registry.get(dataset, model)  # unknown scenarios 404 here
-        payload = self.pool.recommend(
-            (dataset, model), [int(item) for item in history], int(k))
-        elapsed = time.perf_counter() - start
-        key = (dataset, model)
-        hist = self._latency.get(key)
-        if hist is None:
-            hist = metrics.histogram(
-                "repro_serve_request_seconds",
-                "end-to-end recommend() latency",
-                labels={"scenario": f"{dataset}:{model}"})
-            self._latency[key] = hist
-        hist.observe(elapsed)
-        payload = dict(payload)
-        payload.update(dataset=dataset, model=model, latency_ms=elapsed * 1e3)
-        return payload
-
-    def refresh(self, dataset: str, model: str) -> int:
-        """Rebuild one scenario's index, then fence the pool onto it."""
-        scenario = self.registry.get(dataset, model)
-        version = scenario.recommender.refresh()
-        self.publish_generation(scenario)
-        return version
-
-    # -- streaming / hot swap ------------------------------------------------
-
-    def attach_stream(self, manager) -> None:
-        self.stream = manager
-
-    def ingest_events(self, dataset: str, model: str, events: list) -> dict:
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.ingest(dataset, model, events)
-
-    def trigger_swap(self, dataset: str, model: str) -> dict:
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.swap(dataset, model)
-
-    def publish_generation(self, scenario: Scenario) -> dict:
-        """Registry flip + pooled generation fence; returns fence info."""
-        previous = self.registry.publish(scenario)
-        # Weights ride the segment only when the generation actually
-        # changed models (full swap); catalogue-only swaps reuse the
-        # workers' resident weights.
-        model_changed = previous.model is not scenario.model
-        return self.pool.publish(scenario, model_changed=model_changed)
-
-    def retire_batcher(self, key: tuple[str, str]) -> None:
-        """Compatibility shim for pre-fence swap callers.
-
-        The in-process service retires a batcher after ``registry.publish``;
-        the pooled equivalent is a full fence re-publishing whatever the
-        registry currently routes to. Weights are re-shipped because this
-        path carries no model-identity information.
-        """
-        scenario = self.registry.get(*key)
-        self.pool.publish(scenario,
-                          model_changed=hasattr(scenario.model, "state_dict"))
-
-    # -- introspection -------------------------------------------------------
-
-    def scenarios(self) -> list[dict]:
-        return self.registry.describe()
-
-    def stats(self) -> dict:
-        """Pool topology + per-scenario counters merged across workers."""
-        pool_stats = self.pool.stats()
-        per_scenario: dict[str, dict] = {}
-        summed = ("requests", "batches", "size_flushes", "timeout_flushes",
-                  "cache_hits", "cache_misses", "queue_depth")
-        for entry in pool_stats["per_worker"]:
-            for name, counters in entry.get("scenarios", {}).items():
-                agg = per_scenario.setdefault(
-                    name, {field: 0 for field in summed} | {"largest_batch": 0})
-                for field in summed:
-                    agg[field] += counters.get(field, 0)
-                agg["largest_batch"] = max(agg["largest_batch"],
-                                           counters.get("largest_batch", 0))
-                agg.setdefault("retrieval", counters.get("retrieval"))
-        for (dataset, model), hist in list(self._latency.items()):
-            if hist.count:
-                entry = per_scenario.setdefault(f"{dataset}:{model}", {})
-                entry["latency_ms"] = hist.snapshot().to_json(scale=1e3)
-        payload = {"scenarios": per_scenario,
-                   "pool": pool_stats,
-                   "swap_race_retries": 0,
-                   "settings": {"max_batch": self.max_batch,
-                                "max_wait_ms": self.max_wait_ms,
-                                "cache_size": self.cache_size,
-                                "batching": self.batching,
-                                "workers": self.workers}}
-        if self.stream is not None:
-            payload["stream"] = self.stream.stats()
-        return payload
-
-    def metrics_text(self) -> str:
-        """One merged exposition: the parent's plus every worker's."""
-        return metrics.merge_expositions(
-            [metrics.render_prometheus()] + self.pool.metrics_texts())
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._close_monitor()              # stop sampling before teardown
-        stream, self.stream = self.stream, None
-        if stream is not None:
-            stream.close()                 # stop fine-tune workers first
-        self._closed = True
-        self.pool.close()
-
-    def __enter__(self) -> "PooledRecommendationService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+def PooledRecommendationService(registry, workers=2, **settings):  # noqa: N802
+    # Only perfbench/tracer.py still looks this name up; serve through
+    # RecommendationService(registry, workers=N) instead.
+    from .service import RecommendationService
+    return RecommendationService(registry, workers=workers, **settings)

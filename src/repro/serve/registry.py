@@ -143,8 +143,9 @@ class ModelRegistry:
 
         The single place the retrieval configuration (exclude-seen,
         dtype, ANN backend/knobs) turns into a recommender — used by
-        :meth:`add` and by the hot-swap path (``repro.stream``), so a
-        swapped-in generation can never serve with different retrieval
+        :meth:`add`, by the hot-swap path (``repro.stream``) and by pool
+        workers over their shared-memory index, so a swapped-in
+        generation can never serve with different retrieval
         configuration than a freshly loaded one.
         """
         extra = ({} if self.min_ann_items is None
@@ -160,10 +161,9 @@ class ModelRegistry:
         """Assemble a :class:`Scenario` around pre-built parts.
 
         The counterpart of :meth:`build_recommender` one level up: hot
-        swaps (``repro.stream``) and pool workers (``repro.serve.pool``)
-        bring their own dataset snapshot, model generation and —
-        worker-side — a frozen shared-memory index, but the recommender
-        wiring must still come from this registry's retrieval settings.
+        swaps (``repro.stream``) bring their own dataset snapshot and
+        model generation, but the recommender wiring must still come
+        from this registry's retrieval settings.
         """
         recommender = self.build_recommender(model, dataset, index=index)
         return Scenario(spec=spec, dataset=dataset, model=model,
@@ -178,12 +178,11 @@ class ModelRegistry:
         caller builds a fully warmed :class:`Scenario` (model + dataset
         snapshot + recommender whose index is already encoded) off the
         request path, then publishes it here. Routing flips on a single
-        dict assignment — requests already scoring against the old
-        generation finish against it; the serving facade retires the old
-        generation's batcher separately (see
-        ``RecommendationService.retire_batcher``). Returns the scenario
-        it replaced, or raises if the key was never loaded (a swap must
-        target a serving scenario, not create one).
+        dict assignment. ``RecommendationService.publish_generation``
+        calls this only after every serving process swapped its batcher
+        onto the new generation. Returns the scenario it replaced, or
+        raises if the key was never loaded (a swap must target a serving
+        scenario, not create one).
         """
         key = scenario.spec.key
         if key not in self._scenarios:

@@ -1,19 +1,19 @@
-"""The serving facade: registry routing + per-scenario micro-batchers.
+"""The serving facade: registry routing over either serving tier.
 
-:class:`RecommendationService` is what the HTTP endpoint (and the CLI)
-talk to: it owns a :class:`~repro.serve.registry.ModelRegistry`, lazily
-attaches a :class:`~repro.serve.batcher.MicroBatcher` to each scenario,
-and answers ``recommend(dataset, model, history, k)`` with a
-JSON-serializable payload including the request latency.
+:class:`RecommendationService` is what the HTTP endpoint, the CLI and
+the streaming manager talk to. It validates every request, records its
+latency and hands it to one dispatcher: a
+:class:`~repro.serve.batcher.BatcherTable` in this process
+(``workers=0``) or a :class:`~repro.serve.pool.WorkerPool` whose forked
+workers each run their own table (``workers=N``). Every generation
+change goes through :meth:`RecommendationService.publish_generation`.
 
 A streaming manager (``repro.stream``) can be attached to close the
 train→serve loop online: the service then accepts ``POST /events``
-ingestion and exposes swap/staleness counters on ``/stats``, and its
-routing survives hot swaps — a request that races a scenario
-replacement is transparently retried against the new generation, so
-swaps never drop traffic. The service only knows the small duck-typed
-protocol (``ingest`` / ``swap`` / ``stats`` / ``close``), keeping the
-layering one-directional (stream imports serve, never the reverse).
+ingestion and exposes swap/staleness counters on ``/stats``. The
+service only knows the small duck-typed protocol (``ingest`` /
+``swap`` / ``stats`` / ``close``), keeping the layering one-directional
+(stream imports serve, never the reverse).
 """
 
 from __future__ import annotations
@@ -21,26 +21,199 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
+
 from ..obs import metrics, trace
-from .batcher import BatcherClosed, MicroBatcher
-from .recommender import Recommendation
+from .batcher import BatcherTable
+from .pool import WorkerPool
 from .registry import ModelRegistry, Scenario
 
-__all__ = ["RecommendationService", "SelfMonitoring"]
+__all__ = ["RecommendationService"]
+
+#: Per-scenario batcher counters summed across serving processes.
+_SUMMED = ("requests", "batches", "size_flushes", "timeout_flushes",
+           "cache_hits", "cache_misses", "queue_depth")
 
 
-class SelfMonitoring:
-    """Health/timeline surface shared by both serving tiers.
+def _checked_request(history, k, num_items: int) -> tuple[list[int], int]:
+    """Validate one request before it joins a batch; raises ValueError.
 
-    Mixed into :class:`RecommendationService` and the pooled service so
-    ``GET /health`` / ``GET /alerts`` / ``GET /timeline`` read the same
-    on every deployment shape. Without :meth:`enable_monitoring` the
-    surface degrades gracefully: ``/health`` stays the legacy
-    unconditional-``ok`` payload, the other endpoints report
-    ``monitoring: false``.
+    History ids must be integers in ``[1, num_items]`` and ``k`` an
+    integer >= 1 (a ``k`` past the catalogue is clamped by top-k).
+    Booleans, floats, strings and nested lists are refused, never
+    coerced.
     """
+    if isinstance(history, np.ndarray):
+        history = history.tolist()
+    if not isinstance(history, list) or not history:
+        raise ValueError("'history' must be a non-empty list of item ids")
+    for item in history:
+        # type(), not isinstance(): bool is a subclass of int.
+        if type(item) is not int or not 1 <= item <= num_items:
+            raise ValueError(f"history item ids must be integers in "
+                             f"[1, {num_items}]; got {item!r}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"'k' must be an integer >= 1; got {k!r}")
+    return history, k
 
-    monitor = None      # set by enable_monitoring()
+
+def _merge_counters(per_process: list[dict]) -> dict:
+    """One ``/stats`` entry per scenario from per-process batcher counters."""
+    merged: dict[str, dict] = {}
+    for scenarios in per_process:
+        for name, counters in scenarios.items():
+            entry = merged.setdefault(
+                name, dict.fromkeys(_SUMMED, 0)
+                | {"largest_batch": 0, "retrieval": counters["retrieval"]})
+            for field in _SUMMED:
+                entry[field] += counters[field]
+            entry["largest_batch"] = max(entry["largest_batch"],
+                                         counters["largest_batch"])
+    for entry in merged.values():
+        # Only cache misses go through a flushed batch.
+        entry["mean_batch"] = (entry["cache_misses"] / entry["batches"]
+                               if entry["batches"] else 0.0)
+    return merged
+
+
+class RecommendationService:
+    """Validate, time and route requests to in-process or pooled batchers."""
+
+    def __init__(self, registry: ModelRegistry, workers: int = 0,
+                 max_batch: int = 32, max_wait_ms: float = 2.0,
+                 cache_size: int = 1024):
+        self.registry = registry
+        self.workers = workers
+        self.max_batch = max_batch
+        self.max_wait_ms = max_wait_ms
+        self.cache_size = cache_size
+        self.stream = None          # attached via attach_stream()
+        self.monitor = None         # attached via enable_monitoring()
+        self.pool: WorkerPool | None = None
+        self._batchers: BatcherTable | None = None
+        if workers > 0:
+            self.pool = WorkerPool(registry, workers=workers,
+                                   max_batch=max_batch,
+                                   max_wait_ms=max_wait_ms,
+                                   cache_size=cache_size)
+        else:
+            self._batchers = BatcherTable(max_batch=max_batch,
+                                          max_wait_ms=max_wait_ms,
+                                          cache_size=cache_size)
+        # Serializes generation changes: the registry must end on the
+        # generation the serving processes were swapped to last.
+        self._publish_lock = threading.Lock()
+        self._closed = False
+        # End-to-end latency per scenario lives in log-bucketed histograms:
+        # /stats reads p50/p99 in O(1) over ~64 buckets instead of sorting
+        # an ever-growing latency list (the pre-obs implementation kept
+        # raw per-request floats).
+        self._latency: dict[tuple[str, str], metrics.Histogram] = {}
+
+    def _latency_hist(self, dataset: str, model: str) -> metrics.Histogram:
+        key = (dataset, model)
+        hist = self._latency.get(key)
+        if hist is None:
+            # Registry get-or-create is idempotent, so a benign double
+            # create under race just returns the same instrument.
+            hist = metrics.histogram(
+                "repro_serve_request_seconds",
+                "end-to-end recommend() latency",
+                labels={"scenario": f"{dataset}:{model}"})
+            self._latency[key] = hist
+        return hist
+
+    # -- request API ---------------------------------------------------------
+
+    def recommend(self, dataset: str, model: str, history,
+                  k: int = 10) -> dict:
+        """Answer one request; returns the JSON payload for the endpoint."""
+        if self._closed:
+            raise RuntimeError("service is closed")
+        start = time.perf_counter()
+        scenario = self.registry.get(dataset, model)
+        history, k = _checked_request(history, k,
+                                      scenario.dataset.num_items)
+        key = (dataset, model)
+        if self.pool is not None:
+            payload = self.pool.recommend(key, history, k)
+        else:
+            payload = self._batchers.get(key, scenario.recommender) \
+                .recommend(history, k=k).to_json()
+        elapsed = time.perf_counter() - start
+        self._latency_hist(dataset, model).observe(elapsed)
+        ctx = trace.current()
+        if ctx is not None:
+            ctx.meta.setdefault("cached", payload["cached"])
+        payload.update(dataset=dataset, model=model,
+                       latency_ms=elapsed * 1e3)
+        return payload
+
+    def refresh(self, dataset: str, model: str) -> int:
+        """Rebuild one scenario's catalogue index; returns the new version."""
+        scenario = self.registry.get(dataset, model)
+        version = scenario.recommender.refresh()
+        self.publish_generation(scenario)
+        return version
+
+    # -- streaming / hot swap ------------------------------------------------
+
+    def attach_stream(self, manager) -> None:
+        """Attach a continual-learning manager (see ``repro.stream``).
+
+        ``manager`` must provide ``ingest(dataset, model, events)``,
+        ``swap(dataset, model)``, ``stats()`` and ``close()``. Once
+        attached, the manager's lifecycle is tied to the service's.
+        """
+        self.stream = manager
+
+    def ingest_events(self, dataset: str, model: str, events: list) -> dict:
+        """Feed interaction/cold-item events to the streaming pipeline."""
+        if self.stream is None:
+            raise ValueError("streaming is not enabled on this service; "
+                             "start it with `repro stream`")
+        return self.stream.ingest(dataset, model, events)
+
+    def trigger_swap(self, dataset: str, model: str) -> dict:
+        """Force a hot swap of one scenario's model/index generation."""
+        if self.stream is None:
+            raise ValueError("streaming is not enabled on this service; "
+                             "start it with `repro stream`")
+        return self.stream.swap(dataset, model)
+
+    def publish_generation(self, scenario: Scenario) -> dict:
+        """Make ``scenario`` the live generation of its key.
+
+        The one path every generation change takes. Each serving
+        process first swaps its batcher onto the new recommender — the
+        pool's generation fence, or its zero-worker case in-process —
+        and only then does the registry publish the entry. Validation
+        reads the registry and the catalogue only grows, so an item id
+        it accepts is always one the serving generation knows. Returns
+        ``publish_s`` / ``fence_s`` / ``drain_s`` timings and the worker
+        ack counts.
+        """
+        key = scenario.spec.key
+        with self._publish_lock:
+            previous = self.registry.get(*key)
+            if self.pool is not None:
+                # Weights ride the segment only when the generation
+                # changed models (full swap); catalogue-only swaps reuse
+                # the workers' resident weights.
+                changed = previous.model is not scenario.model
+                info = self.pool.publish(scenario, model_changed=changed)
+            else:
+                tick = time.perf_counter()
+                self._batchers.get(key, scenario.recommender).swap(
+                    lambda: scenario.recommender)
+                info = {"workers": 0, "acked": 0, "errors": [],
+                        "publish_s": 0.0,
+                        "fence_s": time.perf_counter() - tick,
+                        "drain_s": 0.0}
+            self.registry.publish(scenario)
+        return info
+
+    # -- self-monitoring -----------------------------------------------------
 
     def enable_monitoring(self, interval_s: float = 1.0,
                           window_s: float = 300.0, rules=None,
@@ -52,6 +225,8 @@ class SelfMonitoring:
         ``interval_s`` seconds and evaluates its rules after each
         sample. ``start=False`` skips the background thread so tests
         can drive ``monitor.timeline.sample()`` deterministically.
+        Without it ``/health`` stays the unconditional-``ok`` payload
+        and ``/alerts`` / ``/timeline`` report ``monitoring: false``.
         """
         if self.monitor is None:
             from ..obs.health import monitor_service
@@ -86,199 +261,32 @@ class SelfMonitoring:
         if monitor is not None:
             monitor.close()
 
-
-class RecommendationService(SelfMonitoring):
-    """Route requests to scenarios, micro-batching each scenario's load."""
-
-    def __init__(self, registry: ModelRegistry, max_batch: int = 32,
-                 max_wait_ms: float = 2.0, cache_size: int = 1024,
-                 batching: bool = True):
-        self.registry = registry
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
-        self.cache_size = cache_size
-        self.batching = batching
-        self.stream = None          # attached via attach_stream()
-        self._batchers: dict[tuple[str, str], MicroBatcher] = {}
-        self._lock = threading.Lock()
-        self._swap_race_retries = 0
-        self._closed = False
-        # End-to-end latency per scenario lives in log-bucketed histograms:
-        # /stats reads p50/p99 in O(1) over ~64 buckets instead of sorting
-        # an ever-growing latency list (the pre-obs implementation kept
-        # raw per-request floats).
-        self._latency: dict[tuple[str, str], metrics.Histogram] = {}
-        self._m_swap_races = metrics.counter(
-            "repro_serve_swap_race_retries_total",
-            "requests retried because they raced a hot swap")
-
-    def _latency_hist(self, dataset: str, model: str) -> metrics.Histogram:
-        key = (dataset, model)
-        hist = self._latency.get(key)
-        if hist is None:
-            # Registry get-or-create is idempotent, so a benign double
-            # create under race just returns the same instrument.
-            hist = metrics.histogram(
-                "repro_serve_request_seconds",
-                "end-to-end recommend() latency",
-                labels={"scenario": f"{dataset}:{model}"})
-            self._latency[key] = hist
-        return hist
-
-    # -- internals -----------------------------------------------------------
-
-    def _batcher(self, scenario: Scenario) -> MicroBatcher:
-        key = scenario.spec.key
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("service is closed")
-            existing = self._batchers.get(key)
-            if (existing is not None
-                    and existing.recommender is not scenario.recommender):
-                # The registry hot-swapped this scenario (re-add replaces
-                # it); retire the batcher bound to the old recommender.
-                existing.close()
-                existing = None
-            if existing is None:
-                existing = MicroBatcher(
-                    scenario.recommender, max_batch=self.max_batch,
-                    max_wait_ms=self.max_wait_ms, cache_size=self.cache_size,
-                    start=self.batching,
-                    metrics_label=f"{key[0]}:{key[1]}")
-                self._batchers[key] = existing
-            return existing
-
-    # -- request API ---------------------------------------------------------
-
-    def recommend(self, dataset: str, model: str, history,
-                  k: int = 10) -> dict:
-        """Answer one request; returns the JSON payload for the endpoint."""
-        if self._closed:
-            raise RuntimeError("service is closed")
-        start = time.perf_counter()
-        # A request can race a hot swap: it resolves the scenario, the
-        # swap publishes a new generation and retires the old batcher,
-        # then the request submits to the now-closed batcher. The old
-        # batcher drained everything already queued before closing, so
-        # the only casualty is this not-yet-queued request — retry it
-        # against the replacement generation instead of dropping it.
-        for attempt in range(5):
-            scenario = self.registry.get(dataset, model)
-            try:
-                result: Recommendation = self._batcher(scenario).recommend(
-                    history, k=k)
-                break
-            except BatcherClosed:
-                if attempt == 4:  # pragma: no cover - would need 5 swaps
-                    raise
-                # Observable on /stats: a spike means swaps are so
-                # frequent requests keep landing on retiring batchers.
-                with self._lock:
-                    self._swap_race_retries += 1
-                self._m_swap_races.inc()
-        elapsed = time.perf_counter() - start
-        self._latency_hist(dataset, model).observe(elapsed)
-        ctx = trace.current()
-        if ctx is not None:
-            ctx.meta.setdefault("cached", result.cached)
-        payload = result.to_json()
-        payload.update(dataset=dataset, model=model,
-                       latency_ms=elapsed * 1e3)
-        return payload
-
-    def refresh(self, dataset: str, model: str) -> int:
-        """Rebuild one scenario's catalogue index; returns the new version."""
-        return self.registry.get(dataset, model).recommender.refresh()
-
-    # -- streaming / hot swap ------------------------------------------------
-
-    def attach_stream(self, manager) -> None:
-        """Attach a continual-learning manager (see ``repro.stream``).
-
-        ``manager`` must provide ``ingest(dataset, model, events)``,
-        ``swap(dataset, model)``, ``stats()`` and ``close()``. Once
-        attached, the manager's lifecycle is tied to the service's.
-        """
-        self.stream = manager
-
-    def ingest_events(self, dataset: str, model: str, events: list) -> dict:
-        """Feed interaction/cold-item events to the streaming pipeline."""
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.ingest(dataset, model, events)
-
-    def trigger_swap(self, dataset: str, model: str) -> dict:
-        """Force a hot swap of one scenario's model/index generation."""
-        if self.stream is None:
-            raise ValueError("streaming is not enabled on this service; "
-                             "start it with `repro stream`")
-        return self.stream.swap(dataset, model)
-
-    def publish_generation(self, scenario: Scenario) -> dict:
-        """Flip routing to ``scenario`` and retire the old batcher.
-
-        The single entry point the hot-swap path (``repro.stream``)
-        calls to make a new generation live. The pooled service
-        (``repro.serve.pool``) overrides this with a shared-memory
-        publish + generation fence; the in-process version is just
-        ``registry.publish`` plus :meth:`retire_batcher`, timed with
-        the same keys (``publish_s`` / ``fence_s`` / ``drain_s``) so
-        the swap-phase observability reads identically in both tiers.
-        """
-        tick = time.perf_counter()
-        self.registry.publish(scenario)
-        published = time.perf_counter()
-        self.retire_batcher(scenario.spec.key)
-        done = time.perf_counter()
-        return {"workers": 0, "acked": 0, "errors": [],
-                "publish_s": published - tick, "fence_s": 0.0,
-                "drain_s": done - published}
-
-    def retire_batcher(self, key: tuple[str, str]) -> None:
-        """Close (drain) the batcher bound to a swapped-out scenario.
-
-        Called by the hot-swap path right after ``registry.publish`` so
-        the old generation stops serving promptly instead of on the next
-        request. Every request already queued in the old batcher is
-        flushed against the old (still fully consistent) model+index
-        before it closes; new requests build a fresh batcher bound to
-        the new generation on arrival.
-        """
-        with self._lock:
-            batcher = self._batchers.pop(key, None)
-        if batcher is not None:
-            batcher.close()
-
     # -- introspection -------------------------------------------------------
 
     def scenarios(self) -> list[dict]:
         return self.registry.describe()
 
     def stats(self) -> dict:
-        """Per-scenario batcher counters plus service-level settings."""
-        with self._lock:
-            snapshot = list(self._batchers.items())
-        per_scenario = {}
-        for (d, m), batcher in snapshot:
-            counters = batcher.stats.to_json()
-            counters["retrieval"] = \
-                batcher.recommender.describe_retrieval()
-            hist = self._latency.get((d, m))
-            if hist is not None and hist.count:
-                counters["latency_ms"] = hist.snapshot().to_json(scale=1e3)
-            per_scenario[f"{d}:{m}"] = counters
-        with self._lock:
-            swap_races = self._swap_race_retries
+        """Per-scenario counters, pool topology and settings (``/stats``)."""
+        if self.pool is not None:
+            topology = self.pool.stats()
+            per_process = [worker.get("scenarios", {})
+                           for worker in topology["per_worker"]]
+        else:
+            topology = {"mode": "in-process", "workers": 0, "alive": 0,
+                        "per_worker": []}
+            per_process = [self._batchers.counters()]
+        per_scenario = _merge_counters(per_process)
+        for (d, m), hist in list(self._latency.items()):
+            if hist.count:
+                per_scenario.setdefault(f"{d}:{m}", {})["latency_ms"] = \
+                    hist.snapshot().to_json(scale=1e3)
         payload = {"scenarios": per_scenario,
-                   "swap_race_retries": swap_races,
-                   # Topology parity with the pooled tier: consumers can
-                   # branch on mode instead of sniffing for pool keys.
-                   "pool": {"mode": "in-process", "workers": 0},
+                   "pool": topology,
                    "settings": {"max_batch": self.max_batch,
                                 "max_wait_ms": self.max_wait_ms,
                                 "cache_size": self.cache_size,
-                                "batching": self.batching}}
+                                "workers": self.workers}}
         if self.stream is not None:
             payload["stream"] = self.stream.stats()
         return payload
@@ -286,25 +294,28 @@ class RecommendationService(SelfMonitoring):
     def metrics_text(self) -> str:
         """The Prometheus exposition for ``GET /metrics``.
 
-        The in-process service has exactly one process, so this is the
-        global registry's render; the pooled service overrides it with
-        a cross-process merge.
+        In-process this is the process registry's render; the pooled
+        tier merges every worker's exposition into it.
         """
-        return metrics.render_prometheus()
+        if self.pool is None:
+            return metrics.render_prometheus()
+        return metrics.merge_expositions(
+            [metrics.render_prometheus()] + self.pool.metrics_texts())
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
+        if self._closed:
+            return
         self._close_monitor()       # stop the sampler before its sources
         stream, self.stream = self.stream, None
         if stream is not None:
             stream.close()          # stop fine-tune workers first
-        with self._lock:
-            self._closed = True
-            batchers = list(self._batchers.values())
-            self._batchers.clear()
-        for batcher in batchers:
-            batcher.close()
+        self._closed = True
+        if self.pool is not None:
+            self.pool.close()
+        else:
+            self._batchers.close()
 
     def __enter__(self) -> "RecommendationService":
         return self

@@ -210,13 +210,9 @@ def bench_stream(dataset_name: str = "hm", model_name: str = "pmmrec-text",
                              min_ann_items=min_ann_items)
     scenario = registry.add(f"{dataset_name}:{model_name}", seed=seed)
     initial_version = scenario.recommender.index_version
-    if workers > 0:
-        # The pooled tier must fork before the StreamManager (and its
-        # fine-tune threads) exist; swaps then run the generation fence.
-        from ..serve.pool import PooledRecommendationService
-        service = PooledRecommendationService(registry, workers=workers)
-    else:
-        service = RecommendationService(registry)
+    # A pooled tier must fork before the StreamManager (and its
+    # fine-tune threads) exist; swaps then run the generation fence.
+    service = RecommendationService(registry, workers=workers)
     config = StreamConfig(batch_size=batch_size, lr=lr,
                           steps_per_swap=steps_per_swap,
                           min_events_per_round=event_batch,

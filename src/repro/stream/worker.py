@@ -35,12 +35,11 @@ The swap protocol (the part that makes "atomic" true):
    ``publish_partial`` fast path re-encoding *only new items* when the
    catalogue grew without a weight change. The ANN structure is fitted
    before publication, continuing the retired index's version sequence.
-5. ``registry.publish`` flips routing on one dict assignment, then the
-   service retires the old generation's micro-batcher: already-queued
-   requests flush against the old (still consistent) model+index, new
-   requests build a batcher on the new generation, and the one racing
-   request that can land on the just-closed batcher is retried by the
-   service against the new generation (``BatcherClosed``).
+5. ``service.publish_generation`` swaps every serving process's
+   micro-batcher onto the new generation — it waits out the batch in
+   flight, then runs every later batch (requests already queued
+   included) on the new model+index and drops the LRU cache — and only
+   then flips the registry entry on one dict assignment.
 
 Requests therefore see old ranks or new ranks, never a mixture — and
 with the gate, never a *worse* generation than the tolerance allows.
@@ -911,31 +910,22 @@ class FineTuneWorker:
         tick = time.perf_counter()
         scenario = registry.build_scenario(self.spec, snapshot, model,
                                            index=index)
-        # The service owns how a generation goes live: registry flip +
-        # batcher drain in-process, shared-memory publish + generation
-        # fence on the pooled tier. Duck services used by unit tests may
-        # predate the hook, so fall back to the pre-fence sequence.
-        publisher = getattr(self.service, "publish_generation", None)
-        if publisher is not None:
-            fence_info = publisher(scenario)
-        else:
-            registry.publish(scenario)
-            self.service.retire_batcher(self.key)
-            fence_info = None
+        # The service owns how a generation goes live: a batcher swap
+        # in-process, shared-memory publish + generation fence on the
+        # pooled tier, then the registry flip.
+        fence_info = self.service.publish_generation(scenario)
         done = time.perf_counter()
         # Render the publish/fence/drain phases as contiguous spans from
-        # the durations the service reported (zero-width fence on the
-        # in-process tier), ending exactly at `done` so sampled swap
-        # traces keep full coverage.
-        durations = fence_info or {}
+        # the durations the service reported, ending exactly at `done` so
+        # sampled swap traces keep full coverage.
         edge = tick
         for name in ("publish", "fence", "drain"):
-            seconds = max(float(durations.get(f"{name}_s", 0.0)), 0.0)
+            seconds = max(float(fence_info.get(f"{name}_s", 0.0)), 0.0)
             end = done if name == "drain" else min(edge + seconds, done)
             phase(name, edge, end)
             edge = end
         fence_report = None
-        if fence_info is not None and fence_info.get("workers", 0) > 0:
+        if fence_info.get("workers", 0) > 0:
             fence_report = {"workers": fence_info["workers"],
                             "acked": fence_info["acked"],
                             "errors": fence_info.get("errors", []),

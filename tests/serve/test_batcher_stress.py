@@ -5,17 +5,20 @@ flush-on-timeout boundaries; every single future must resolve to the
 same answer direct retrieval gives, the request/response accounting
 must balance exactly, and a mid-flight ``refresh()`` must invalidate
 LRU entries through the version key rather than serving pre-refresh
-answers as cached.
+answers as cached. A mid-flight ``swap()`` must hand every batch to
+exactly one generation and retire the old one before it returns.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.serve import MicroBatcher
+from repro.serve import MicroBatcher, Recommendation
 
 THREADS = 8
 REQUESTS_PER_THREAD = 25
@@ -135,3 +138,80 @@ def test_lru_entries_invalidate_after_refresh(recommender, request_pool):
         assert fresh.cached is False
         assert fresh.index_version == new_version
         assert batcher.recommend(history, k=k).cached is True
+
+
+class _Generation:
+    """Recommender stand-in that logs every batch it runs."""
+
+    def __init__(self, tag: int, log: list):
+        self.tag = tag
+        self.log = log
+        self.index_version = tag
+        self.running = False
+
+    def recommend_batch(self, histories, k=10):
+        self.running = True
+        self.log.append(("start", self.tag))
+        time.sleep(0.0005)             # widen the window a swap can race
+        self.log.append(("end", self.tag))
+        self.running = False
+        return [Recommendation(items=np.full(k, self.tag),
+                               scores=np.zeros(k), index_version=self.tag)
+                for _ in histories]
+
+
+def test_swap_under_load_never_mixes_or_outlives_a_generation():
+    log: list = []
+    old, new = _Generation(1, log), _Generation(2, log)
+    results: list = []
+    errors: list = []
+    adopted_while_running: list = []
+
+    def client(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(60):
+                history = rng.integers(1, 50, size=3)
+                results.append(batcher.submit(history, k=4)
+                               .result(timeout=30))
+        except Exception as exc:  # noqa: BLE001 - checked below
+            errors.append(exc)
+
+    def adopt():
+        adopted_while_running.append(old.running)
+        return new
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MicroBatcher(old, max_batch=4, max_wait_ms=0.5,
+                          cache_size=64) as batcher:
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            while len(results) < 40 and not errors:
+                time.sleep(0.0005)
+            batcher.swap(adopt)
+            log.append(("swapped", None))
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "stress client wedged"
+    finally:
+        sys.setswitchinterval(previous)
+
+    assert errors == []
+    assert len(results) == 6 * 60                    # nothing dropped
+    assert adopted_while_running == [False]          # no batch during adopt
+    cut = log.index(("swapped", None))
+    # Batches run one at a time, each start/end pair on one generation.
+    events = [entry for entry in log if entry[0] != "swapped"]
+    for begin, end in zip(events[::2], events[1::2]):
+        assert begin[0] == "start" and end == ("end", begin[1])
+    # Nothing ran on the old generation once swap() had returned.
+    assert all(tag == 2 for _, tag in log[cut + 1:])
+    assert ("start", 1) in log[:cut] and ("start", 2) in log[cut + 1:]
+    # Every answer is one whole generation's, and the new one served.
+    for result in results:
+        assert set(result.items.tolist()) == {result.index_version}
+    assert {result.index_version for result in results} == {1, 2}

@@ -16,8 +16,8 @@ import urllib.request
 import pytest
 
 from repro.obs import metrics
-from repro.serve import (KeepAliveClient, ModelRegistry, make_server)
-from repro.serve.pool import PooledRecommendationService
+from repro.serve import (KeepAliveClient, ModelRegistry,
+                         RecommendationService, make_server)
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"),
@@ -33,8 +33,7 @@ def registry():
 
 @pytest.fixture(scope="module")
 def pooled(registry):
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = RecommendationService(registry, workers=2, max_wait_ms=1.0)
     yield service
     service.close()
 

@@ -19,8 +19,7 @@ import urllib.request
 import pytest
 
 from repro.obs.health import default_rules
-from repro.serve import ModelRegistry, make_server
-from repro.serve.pool import PooledRecommendationService
+from repro.serve import ModelRegistry, RecommendationService, make_server
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"),
@@ -34,8 +33,7 @@ WINDOW_S = 5.0
 def pooled():
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = RecommendationService(registry, workers=2, max_wait_ms=1.0)
     yield service
     service.close()
 
@@ -129,8 +127,7 @@ def test_clean_shutdown_never_counts_as_worker_death():
     deaths = metrics.counter("repro_pool_worker_deaths_total")
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = RecommendationService(registry, workers=2, max_wait_ms=1.0)
     before = deaths.value
     service.close()                     # orderly stop of both workers
     # close() marks every handle dead, but that sweep must not read as

@@ -14,7 +14,8 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.serve import ModelRegistry, RecommendationService, make_server
+from repro.serve import (MicroBatcher, ModelRegistry, RecommendationService,
+                         build_model, make_server)
 
 
 @pytest.fixture(scope="module")
@@ -156,18 +157,39 @@ def test_unexpected_failure_yields_well_formed_500(server, service,
     assert status == 200 and len(payload["items"]) == 3
 
 
-def test_service_hot_swap_rebinds_batcher():
-    """Re-adding a scenario must retire the batcher of the old model."""
+def test_service_hot_swap_rebinds_batcher(monkeypatch):
+    """Publishing a generation retargets the scenario's one batcher.
+
+    The registry flips only after the batcher swapped: request
+    validation reads the registry, so it must never run ahead of the
+    generation that serves.
+    """
     registry = ModelRegistry(profile="smoke", dtype="float32")
     first = registry.add("kwai_food:sasrec")
-    with RecommendationService(registry, batching=False) as svc:
+    routed_during_swap = []
+    swap = MicroBatcher.swap
+
+    def spy(batcher, adopt):
+        routed_during_swap.append(registry.get("kwai_food", "sasrec"))
+        return swap(batcher, adopt)
+
+    monkeypatch.setattr(MicroBatcher, "swap", spy)
+    with RecommendationService(registry) as svc:
         history = [int(i) for i in first.dataset.split.test[0].history]
         svc.recommend("kwai_food", "sasrec", history, k=3)
-        swapped = registry.add("kwai_food:sasrec", seed=9)
-        assert swapped.recommender is not first.recommender
-        svc.recommend("kwai_food", "sasrec", history, k=3)
-        bound = svc._batchers[("kwai_food", "sasrec")].recommender
-        assert bound is swapped.recommender
+        batcher = svc._batchers.get(("kwai_food", "sasrec"))
+        swapped = registry.build_scenario(
+            first.spec, first.dataset,
+            build_model("sasrec", first.dataset, seed=9))
+        svc.publish_generation(swapped)
+        assert routed_during_swap == [first]
+        assert registry.get("kwai_food", "sasrec") is swapped
+        payload = svc.recommend("kwai_food", "sasrec", history, k=3)
+        assert svc._batchers.get(("kwai_food", "sasrec")) is batcher
+        assert batcher.recommender is swapped.recommender
+        expected = swapped.recommender.recommend(history, k=3)
+        assert payload["items"] == [int(i) for i in expected.items]
+        assert payload["cached"] is False
 
 
 def test_cli_serve_smoke_mode(capsys):

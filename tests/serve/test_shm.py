@@ -15,9 +15,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.serve import ModelRegistry
-from repro.serve.pool import (PooledRecommendationService, PoolError,
-                              SharedCatalogStore)
+from repro.serve import ModelRegistry, RecommendationService
+from repro.serve.pool import PoolError, SharedCatalogStore
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"),
@@ -28,11 +27,10 @@ def _segments(prefix: str) -> list[str]:
     return sorted(f for f in os.listdir("/dev/shm") if f.startswith(prefix))
 
 
-def _make_service(workers: int = 2) -> PooledRecommendationService:
+def _make_service(workers: int = 2) -> RecommendationService:
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)
-    return PooledRecommendationService(registry, workers=workers,
-                                       max_wait_ms=1.0)
+    return RecommendationService(registry, workers=workers, max_wait_ms=1.0)
 
 
 def _history(service) -> list[int]:
@@ -83,7 +81,7 @@ def test_store_close_unlinks_everything():
 
 def test_clean_shutdown_leaves_no_segments():
     service = _make_service(workers=2)
-    prefix = service.shm_prefix
+    prefix = service.pool.shm_prefix
     assert _segments(prefix), "boot should have published gen-1 segments"
     result = service.recommend("kwai_food", "sasrec",
                                _history(service), k=5)
@@ -94,7 +92,7 @@ def test_clean_shutdown_leaves_no_segments():
 
 def test_worker_crash_pool_survives_then_cleans_up():
     service = _make_service(workers=2)
-    prefix = service.shm_prefix
+    prefix = service.pool.shm_prefix
     try:
         victim = service.pool._workers[0]
         victim.process.kill()
@@ -115,7 +113,7 @@ def test_worker_crash_pool_survives_then_cleans_up():
 
 def test_fence_with_dead_worker_completes_and_unlinks_old_generation():
     service = _make_service(workers=2)
-    prefix = service.shm_prefix
+    prefix = service.pool.shm_prefix
     try:
         victim = service.pool._workers[1]
         victim.process.kill()
@@ -141,7 +139,7 @@ def test_fence_with_dead_worker_completes_and_unlinks_old_generation():
 
 def test_all_workers_dead_raises_not_hangs():
     service = _make_service(workers=2)
-    prefix = service.shm_prefix
+    prefix = service.pool.shm_prefix
     try:
         for worker in list(service.pool._workers):
             worker.process.kill()

@@ -7,7 +7,7 @@ publishes new generations. Every response must be exactly the answer of
 one complete generation — the old one or a new one, identified by its
 ``index_version`` — never a mixture (new model scored against a stale
 index, or vice versa), and the request/response accounting must balance
-to zero drops even though batchers are being retired mid-flight.
+to zero drops even though batchers are being swapped mid-flight.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import ModelRegistry
-from repro.serve.pool import PooledRecommendationService
+from repro.serve import ModelRegistry, RecommendationService
 from repro.stream import StreamConfig, StreamManager, parse_events
 
 from .conftest import make_service
@@ -172,8 +171,7 @@ def pool_stressed():
     """
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:pmmrec-text", seed=0)
-    service = PooledRecommendationService(registry, workers=2,
-                                          max_wait_ms=1.0)
+    service = RecommendationService(registry, workers=2, max_wait_ms=1.0)
     manager = StreamManager(service,
                             StreamConfig(batch_size=4, steps_per_swap=2,
                                          seed=0),

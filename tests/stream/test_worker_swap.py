@@ -257,8 +257,8 @@ def test_swap_invalidates_request_cache_through_new_batcher(worker, rng):
     worker.run_steps(2)
     report = worker.swap()
     fresh = service.recommend("kwai_food", "pmmrec-text", history, k=5)
-    # The swap retired the old batcher (and its LRU): the same request is
-    # re-scored against the new generation, never served stale.
+    # The swap dropped the batcher's LRU: the same request is re-scored
+    # against the new generation, never served stale.
     assert fresh["cached"] is False
     assert fresh["index_version"] == report.version \
         == first["index_version"] + 1
