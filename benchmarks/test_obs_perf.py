@@ -287,7 +287,7 @@ def test_obs_bench_counters_visible():
     hist = metrics.histogram("obs_bench_visibility")
     for value in rng.uniform(1e-4, 1e-2, size=32):
         hist.observe(float(value))
-    rendered = metrics.render_prometheus()
+    rendered = metrics.REGISTRY.render()
     assert "obs_bench_visibility_count" in rendered
     parsed = metrics.parse_prometheus(rendered)
     assert parsed[("obs_bench_visibility_count", "")] >= 32.0

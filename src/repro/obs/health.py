@@ -52,7 +52,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import metrics
-from .metrics import parse_label_string
 from .timeline import Timeline
 
 __all__ = ["Rule", "HealthMonitor", "default_rules", "monitor_service",
@@ -201,12 +200,8 @@ class HealthMonitor:
             return None
         key, prefix = rule.label_prefix
 
-        def pred(labels: str) -> bool:
-            try:
-                return parse_label_string(labels).get(key, "") \
-                    .startswith(prefix)
-            except ValueError:
-                return False
+        def pred(labels: tuple) -> bool:
+            return dict(labels).get(key, "").startswith(prefix)
         return pred
 
     def _evaluate_rule(self, rule: Rule):
@@ -358,13 +353,14 @@ def monitor_service(service, interval_s: float = 1.0,
                     start: bool = True) -> HealthMonitor:
     """Attach a timeline + health monitor to a serving-tier service.
 
-    Samples ``service.metrics_text()`` — the single already-merged
-    exposition on both tiers — so pooled deployments get cross-worker
-    health for free. ``start=False`` leaves sampling to the caller
-    (deterministic tests drive ``monitor.timeline.sample()`` by hand).
+    Samples ``service.metrics()`` — the metric families, already merged
+    across pool workers on the pooled tier — so pooled deployments get
+    cross-worker health for free, and no tick renders or parses text.
+    ``start=False`` leaves sampling to the caller (deterministic tests
+    drive ``monitor.timeline.sample()`` by hand).
     """
     timeline = Timeline(window_s=window_s, interval_s=interval_s,
-                        source=service.metrics_text)
+                        source=service.metrics)
     monitor = HealthMonitor(timeline, rules=rules)
     if start:
         timeline.start()

@@ -18,10 +18,14 @@ typed instruments that is cheap enough to sit on the request hot path:
   bucket: relative error is bounded by the quarter-power of the growth
   factor (≈ ±19 % at the default layout), which the test suite pins
   against ``numpy.percentile`` on known distributions.
-* The registry renders the whole instrument set as Prometheus text
-  exposition (``GET /metrics`` on the serving endpoint) and as a JSON
-  snapshot (the ``/stats`` families and the bench-report stage
-  breakdowns read this).
+* The registry collects the whole instrument set as structured
+  families (:meth:`MetricsRegistry.collect`): ``{name: (kind, help,
+  {label_key: value})}``, a float per counter or gauge and a
+  :class:`HistogramSnapshot` per histogram. Everything inside the
+  server works on those — the pool ships them over its pipes,
+  :func:`merge` folds processes together, the timeline and the health
+  rules sample them — and :func:`render` writes Prometheus text once,
+  for ``GET /metrics``.
 
 ``REGISTRY`` is the process-global default — the serving/streaming/
 profiling instrumentation all writes there, mirroring the design of
@@ -39,8 +43,8 @@ from threading import get_ident
 
 __all__ = ["Counter", "Gauge", "Histogram", "HistogramSnapshot",
            "MetricsRegistry", "REGISTRY", "counter", "gauge", "histogram",
-           "render_prometheus", "parse_prometheus", "parse_label_string",
-           "merge_expositions",
+           "merge", "render", "label_string", "parse_prometheus",
+           "parse_label_string",
            "DEFAULT_BUCKETS", "DEFAULT_START", "DEFAULT_FACTOR"]
 
 #: Fixed histogram geometry: 64 buckets, √2 growth from 1e-6. Bucket i
@@ -60,7 +64,8 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _render_labels(label_key: tuple, extra: tuple = ()) -> str:
+def label_string(label_key: tuple, extra: tuple = ()) -> str:
+    """The exposition form ``{k="v",...}`` of a label key (``""`` if none)."""
     pairs = list(label_key) + list(extra)
     if not pairs:
         return ""
@@ -130,9 +135,6 @@ class Counter(_Instrument):
     def value(self) -> float:
         return sum(box[0] for box in list(self._shards.values()))
 
-    def samples(self) -> list[tuple[tuple, float]]:
-        return [((), self.value)]
-
 
 class Gauge(_Instrument):
     """A point-in-time value: set/add, or computed by a callback.
@@ -173,19 +175,18 @@ class Gauge(_Instrument):
             try:
                 return float(fn())
             except Exception:           # a dead callback must not kill
-                return float("nan")     # the whole exposition
+                return float("nan")     # the whole collection
         return self._value
-
-    def samples(self) -> list[tuple[tuple, float]]:
-        return [((), self.value)]
 
 
 class HistogramSnapshot:
     """Immutable merged view of a histogram: bounded, diff-able, O(1) stats.
 
     ``minus`` subtracts an earlier snapshot, yielding the distribution
-    of only the observations made in between — how the bench reports
-    carve per-run stage breakdowns out of process-lifetime instruments.
+    of only the observations made in between — how the timeline windows
+    a histogram and the bench reports carve per-run stage breakdowns out
+    of process-lifetime instruments. ``plus`` pools two processes'
+    observations for the cross-process merge.
     """
 
     __slots__ = ("counts", "total", "sum", "bounds")
@@ -220,9 +221,19 @@ class HistogramSnapshot:
         return self.sum / self.total if self.total else float("nan")
 
     def minus(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        counts = [a - b for a, b in zip(self.counts, other.counts)]
-        return HistogramSnapshot(counts, self.total - other.total,
+        """Observations since ``other``; a reset reads as none, not < 0.
+
+        A replaced worker process restarts its share of a merged
+        histogram from zero, so a bucket can drop between two samples.
+        """
+        counts = [max(a - b, 0) for a, b in zip(self.counts, other.counts)]
+        return HistogramSnapshot(counts, max(self.total - other.total, 0),
                                  self.sum - other.sum, self.bounds)
+
+    def plus(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
+        counts = [a + b for a, b in zip(self.counts, other.counts)]
+        return HistogramSnapshot(counts, self.total + other.total,
+                                 self.sum + other.sum, self.bounds)
 
     def to_json(self, scale: float = 1.0) -> dict:
         """Summary dict; ``scale`` converts units (e.g. 1e3 → ms)."""
@@ -302,18 +313,9 @@ class Histogram(_Instrument):
     def count(self) -> int:
         return self.snapshot().total
 
-    def samples(self) -> list[tuple[tuple, float]]:
-        snap = self.snapshot()
-        out, cumulative = [], 0
-        for i, bound in enumerate(self.bounds):
-            cumulative += snap.counts[i]
-            out.append(((("le", format(bound, ".6g")),), float(cumulative)))
-        out.append(((("le", "+Inf"),), float(snap.total)))
-        return out
-
 
 class MetricsRegistry:
-    """Get-or-create instrument store + Prometheus/JSON exposition."""
+    """Get-or-create instrument store + structured collection."""
 
     def __init__(self):
         self._instruments: dict[tuple, _Instrument] = {}
@@ -376,45 +378,27 @@ class MetricsRegistry:
                 if inst.kind == "histogram"
                 and inst.name.startswith(prefix)]
 
-    def render(self) -> str:
-        """The Prometheus text exposition (``GET /metrics``)."""
-        by_name: dict[str, list[_Instrument]] = {}
-        for inst in self.instruments():
-            by_name.setdefault(inst.name, []).append(inst)
-        lines = []
-        for name in sorted(by_name):
-            group = by_name[name]
-            help_text = next((g.help for g in group if g.help), "")
-            if help_text:
-                lines.append(f"# HELP {name} {_escape(help_text)}")
-            lines.append(f"# TYPE {name} {group[0].kind}")
-            for inst in sorted(group, key=lambda g: g.label_key):
-                if inst.kind == "histogram":
-                    for extra, value in inst.samples():
-                        lines.append(
-                            f"{name}_bucket"
-                            f"{_render_labels(inst.label_key, extra)} "
-                            f"{value:g}")
-                    snap = inst.snapshot()
-                    tag = _render_labels(inst.label_key)
-                    lines.append(f"{name}_sum{tag} {snap.sum:g}")
-                    lines.append(f"{name}_count{tag} {snap.total:g}")
-                else:
-                    lines.append(f"{name}{_render_labels(inst.label_key)} "
-                                 f"{inst.value:g}")
-        return "\n".join(lines) + "\n"
+    def collect(self) -> dict:
+        """Every instrument as families: ``{name: (kind, help, series)}``.
 
-    def snapshot(self) -> dict:
-        """JSON-ready state: ``{name: {label_string: value|summary}}``."""
-        out: dict[str, dict] = {}
+        ``series`` maps each label key (sorted ``((label, value), ...)``
+        pairs) to a float, or to a :class:`HistogramSnapshot` for a
+        histogram. Families and label keys come sorted, in exposition
+        order.
+        """
+        families: dict[str, tuple] = {}
         for inst in self.instruments():
-            label = ",".join(f"{k}={v}" for k, v in inst.label_key) or ""
-            entry = out.setdefault(inst.name, {})
-            if inst.kind == "histogram":
-                entry[label] = inst.snapshot().to_json()
-            else:
-                entry[label] = inst.value
-        return out
+            kind, help_text, series = families.get(inst.name,
+                                                   (inst.kind, "", {}))
+            series[inst.label_key] = (inst.snapshot()
+                                      if inst.kind == "histogram"
+                                      else inst.value)
+            families[inst.name] = (kind, help_text or inst.help, series)
+        return _sorted(families)
+
+    def render(self) -> str:
+        """This registry alone as Prometheus text (see :func:`render`)."""
+        return render(self.collect())
 
     # -- fork support --------------------------------------------------------
 
@@ -463,8 +447,82 @@ def histogram(name: str, help: str = "", labels: dict | None = None,
                               start=start, factor=factor, buckets=buckets)
 
 
-def render_prometheus() -> str:
-    return REGISTRY.render()
+def _sorted(families: dict) -> dict:
+    return {name: (kind, help_text, dict(sorted(series.items())))
+            for name, (kind, help_text, series) in sorted(families.items())}
+
+
+def merge(sources: list[dict]) -> dict:
+    """Fold several processes' :meth:`MetricsRegistry.collect` into one.
+
+    The pool parent merges its own families with one set per worker
+    process, so ``GET /metrics`` and the timeline each see one service.
+    **Counters and histograms** with the same name and label key add —
+    valid for histograms because every process uses the same bucket
+    geometry (code-, not state-derived), so the bucket arrays line up.
+    **Gauges take the max**, not the sum: a point-in-time reading
+    (staleness seconds, rejection streak, worker count) summed across
+    N processes is meaningless, while max reports the worst reading —
+    and since forked workers reset inherited gauges to 0, the parent's
+    authoritative value wins. A ``NaN`` reading (dead callback) loses
+    to any real one. The first non-empty help text wins.
+    """
+    merged: dict[str, tuple] = {}
+    for families in sources:
+        for name, (kind, help_text, series) in families.items():
+            if name not in merged:
+                merged[name] = (kind, help_text, dict(series))
+                continue
+            kind, first_help, into = merged[name]
+            if not first_help:
+                merged[name] = (kind, help_text, into)
+            for key, value in series.items():
+                old = into.get(key)
+                if old is None:
+                    into[key] = value
+                elif kind == "histogram":
+                    into[key] = old.plus(value)
+                elif kind != "gauge":
+                    into[key] = old + value
+                elif math.isnan(old) or value > old:
+                    into[key] = value
+    return _sorted(merged)
+
+
+def _number(value: float) -> str:
+    """``{:g}`` where six digits are exact, else the round-trip repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
+def render(families: dict) -> str:
+    """The Prometheus text exposition of collected families.
+
+    Histograms expand into cumulative ``_bucket`` series (one per
+    finite bound, then ``+Inf``) plus ``_sum`` and ``_count``. Every
+    value parses back to exactly the float it was written from.
+    """
+    lines = []
+    for name in sorted(families):
+        kind, help_text, series = families[name]
+        if help_text:
+            lines.append(f"# HELP {name} {_escape(help_text)}")
+        lines.append(f"# TYPE {name} {kind}")
+        for key in sorted(series):
+            value, tag = series[key], label_string(key)
+            if kind != "histogram":
+                lines.append(f"{name}{tag} {_number(value)}")
+                continue
+            cumulative = 0
+            for bound, count in zip(value.bounds, value.counts):
+                cumulative += count
+                le = label_string(key, (("le", format(bound, ".6g")),))
+                lines.append(f"{name}_bucket{le} {_number(cumulative)}")
+            inf = label_string(key, (("le", "+Inf"),))
+            lines.append(f"{name}_bucket{inf} {_number(value.total)}")
+            lines.append(f"{name}_sum{tag} {_number(value.sum)}")
+            lines.append(f"{name}_count{tag} {_number(value.total)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_prometheus(text: str) -> dict[tuple[str, str], float]:
@@ -536,83 +594,3 @@ def parse_label_string(label_str: str) -> dict[str, str]:
         raise ValueError(
             f"malformed label string {label_str!r}: {exc}") from exc
     return out
-
-
-_META_RE = re.compile(r"^# (HELP|TYPE) (\S+)(?: (.*))?$")
-_SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})?\s+(\S+)$")
-
-
-def merge_expositions(texts: list[str]) -> str:
-    """Merge Prometheus expositions from several processes into one.
-
-    The pool parent calls this over its own render plus one exposition
-    per worker process, so ``GET /metrics`` stays a single scrape
-    target. **Counter and histogram** samples with identical name +
-    label set are summed — valid because every process uses the same
-    deterministic bucket geometry (``DEFAULT_START`` /
-    ``DEFAULT_FACTOR``, or whatever geometry the instrument was created
-    with, which is code- not state-derived), so ``_bucket``/``_sum``/
-    ``_count`` series line up exactly. **Gauges aggregate by max**, not
-    sum: a point-in-time reading (staleness seconds, rejection streak,
-    worker count) summed across N processes is meaningless, while max
-    reports the worst/authoritative reading — and since forked workers
-    reset inherited gauges to 0, the parent's authoritative value wins.
-    ``NaN`` gauge readings (dead callbacks) lose to any real value.
-    Family order and first-seen HELP text are preserved.
-    """
-    helps: dict[str, str] = {}
-    kinds: dict[str, str] = {}
-    family_order: list[str] = []
-    rows: dict[str, list[tuple[str, str]]] = {}
-    values: dict[tuple[str, str], float] = {}
-    for text in texts:
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            meta = _META_RE.match(line)
-            if meta is not None:
-                keyword, name, rest = meta.groups()
-                if keyword == "HELP":
-                    helps.setdefault(name, rest or "")
-                elif name not in kinds:
-                    kinds[name] = rest or "untyped"
-                    family_order.append(name)
-                continue
-            if line.startswith("#"):
-                continue
-            match = _SAMPLE_RE.match(line)
-            if match is None:
-                raise ValueError(f"unparseable exposition line: {raw!r}")
-            name, labels, value = match.groups()
-            family = name
-            for suffix in ("_bucket", "_sum", "_count"):
-                if name.endswith(suffix) and name[:-len(suffix)] in kinds:
-                    family = name[:-len(suffix)]
-                    break
-            if family not in kinds:
-                kinds[family] = "untyped"
-                family_order.append(family)
-            key = (name, labels or "")
-            if key in values:
-                fresh = float(value)
-                if kinds.get(family) == "gauge":
-                    old = values[key]
-                    # Prefer any real reading over NaN; otherwise max.
-                    if math.isnan(old):
-                        values[key] = fresh
-                    elif not math.isnan(fresh):
-                        values[key] = max(old, fresh)
-                else:
-                    values[key] += fresh
-            else:
-                values[key] = float(value)
-                rows.setdefault(family, []).append(key)
-    lines = []
-    for family in family_order:
-        if helps.get(family):
-            lines.append(f"# HELP {family} {helps[family]}")
-        lines.append(f"# TYPE {family} {kinds[family]}")
-        for name, labels in rows.get(family, []):
-            lines.append(f"{name}{labels} {values[(name, labels)]:g}")
-    return "\n".join(lines) + "\n"

@@ -3,25 +3,26 @@
 The registry (:mod:`repro.obs.metrics`) answers "what is the value
 now"; an operator also needs "what happened over the last five
 minutes" without running an external Prometheus. :class:`Timeline`
-closes that gap: a background sampler parses the service's own
-``/metrics`` exposition on a fixed interval and appends one point per
-instrument to a per-series ring buffer.
+closes that gap: a background sampler collects the service's metric
+families on a fixed interval and appends one point per series to a
+per-series ring buffer.
 
 Design constraints, in order:
 
 1. **O(1) memory forever.** Every series is a ``deque(maxlen=capacity)``
    with ``capacity = ceil(window / interval) + 1``; sampling for a year
    retains exactly the same number of points as sampling for an hour.
-   Scalar points are ``(ts, value)``; histogram points keep the
-   cumulative bucket vector ``(ts, cum_counts, count, sum)`` so any two
-   points diff into a :class:`~repro.obs.metrics.HistogramSnapshot`
-   covering exactly the observations between them.
-2. **One code path for both serving tiers.** The source is the rendered
-   exposition (``service.metrics_text()``), not the live instruments —
-   the in-process tier samples the global registry's render, the pooled
-   tier samples the already-merged multi-process exposition, so
-   ``GET /timeline`` is merged across pool workers exactly like
-   ``GET /metrics`` with zero extra plumbing.
+   Scalar points are ``(ts, value)``; histogram points are
+   ``(ts, HistogramSnapshot)``, so any two points diff (``minus``) into
+   exactly the observations between them.
+2. **One code path for both serving tiers, and no text.** The source is
+   ``service.metrics()``: structured families (see
+   :meth:`~repro.obs.metrics.MetricsRegistry.collect`), keyed by
+   ``(name, label_key)``. In-process those are the global registry's;
+   pooled, the parent's merged with every worker's, so ``GET /timeline``
+   is merged across pool workers exactly like ``GET /metrics``. A tick
+   costs O(series) — nothing is rendered or parsed — and label strings
+   are written only when ``/timeline`` exports.
 3. **Counters derive rates, not levels.** Query APIs (:meth:`rate`,
    :meth:`increase`, :meth:`quantile`) operate on windowed deltas with
    per-pair reset clamping (a restarted worker's counter dropping to 0
@@ -40,80 +41,23 @@ import time
 from collections import deque
 
 from . import metrics
-from .metrics import HistogramSnapshot, parse_label_string
+from .metrics import HistogramSnapshot
 
-__all__ = ["Timeline", "TimelineSeries", "collect_families"]
-
-
-def collect_families(text: str) -> dict:
-    """Parse one exposition into typed families.
-
-    Returns ``{"kinds": {family: kind}, "scalars": {(family, labels):
-    value}, "histograms": {(family, base_labels): {"buckets": {le:
-    value}, "sum": s, "count": n}}}``. Histogram ``_bucket``/``_sum``/
-    ``_count`` component series are folded back into one family entry
-    keyed by the label set *without* ``le`` (re-rendered canonically so
-    the key matches across samples).
-    """
-    kinds: dict[str, str] = {}
-    scalars: dict[tuple[str, str], float] = {}
-    hists: dict[tuple[str, str], dict] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        meta = metrics._META_RE.match(line)
-        if meta is not None:
-            keyword, name, rest = meta.groups()
-            if keyword == "TYPE" and name not in kinds:
-                kinds[name] = rest or "untyped"
-            continue
-        if line.startswith("#"):
-            continue
-        match = metrics._SAMPLE_RE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable exposition line: {raw!r}")
-        name, labels, value = match.groups()
-        labels = labels or ""
-        family = None
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix):
-                base = name[: -len(suffix)]
-                if kinds.get(base) == "histogram":
-                    family = base
-                    break
-        if family is None:
-            scalars[(name, labels)] = float(value)
-            continue
-        decoded = parse_label_string(labels)
-        le = decoded.pop("le", None)
-        base_labels = metrics._render_labels(metrics._label_key(decoded))
-        entry = hists.setdefault((family, base_labels),
-                                 {"buckets": {}, "sum": 0.0, "count": 0.0})
-        if name.endswith("_bucket"):
-            if le is not None:
-                entry["buckets"][le] = float(value)
-        elif name.endswith("_sum"):
-            entry["sum"] = float(value)
-        else:
-            entry["count"] = float(value)
-    return {"kinds": kinds, "scalars": scalars, "histograms": hists}
+__all__ = ["Timeline", "TimelineSeries"]
 
 
 class TimelineSeries:
     """One instrument's bounded ring of samples."""
 
-    __slots__ = ("name", "labels", "kind", "points", "bounds", "le_keys")
+    __slots__ = ("name", "labels", "kind", "points", "bounds")
 
-    def __init__(self, name: str, labels: str, kind: str, capacity: int):
+    def __init__(self, name: str, labels: tuple, kind: str, capacity: int):
         self.name = name
-        self.labels = labels
+        self.labels = labels          # label key: sorted (label, value) pairs
         self.kind = kind
-        #: scalar point: ``(ts, value)``; histogram point:
-        #: ``(ts, cum_counts_tuple, count, sum)``.
+        #: scalar point: ``(ts, value)``; histogram: ``(ts, snapshot)``.
         self.points: deque = deque(maxlen=capacity)
-        self.bounds: list[float] | None = None   # finite le uppers
-        self.le_keys: list[str] | None = None    # exposition key order
+        self.bounds: list[float] | None = None   # shared by its snapshots
 
     def window_points(self, now: float, window_s: float) -> list:
         """Points inside ``[now - window_s, now]`` plus one baseline.
@@ -158,8 +102,8 @@ class Timeline:
         self.interval_s = float(interval_s)
         self.capacity = int(math.ceil(window_s / interval_s)) + 1
         self._source = source if source is not None \
-            else metrics.render_prometheus
-        self._series: dict[tuple[str, str], TimelineSeries] = {}
+            else metrics.REGISTRY.collect
+        self._series: dict[tuple[str, tuple], TimelineSeries] = {}
         self._listeners: list = []
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -170,11 +114,11 @@ class Timeline:
             "repro_timeline_samples_total", "timeline sampling ticks")
         self._m_errors = metrics.counter(
             "repro_timeline_sample_errors_total",
-            "timeline ticks whose exposition scrape failed")
+            "timeline ticks whose metrics source failed")
 
     # -- collection ----------------------------------------------------------
 
-    def _get_series(self, name: str, labels: str,
+    def _get_series(self, name: str, labels: tuple,
                     kind: str) -> TimelineSeries:
         key = (name, labels)
         series = self._series.get(key)
@@ -187,27 +131,22 @@ class Timeline:
         """Take one sample of every instrument; returns the timestamp."""
         now = time.time() if now is None else float(now)
         try:
-            families = collect_families(self._source())
-        except Exception:   # a bad scrape must not kill the sampler
+            families = self._source()
+        except Exception:   # a failed source must not kill the sampler
             self._m_errors.inc()
             return now
         with self._lock:
-            kinds = families["kinds"]
-            for (name, labels), value in families["scalars"].items():
-                series = self._get_series(name, labels,
-                                          kinds.get(name, "untyped"))
-                series.points.append((now, value))
-            for (name, labels), data in families["histograms"].items():
-                series = self._get_series(name, labels, "histogram")
-                if series.le_keys is None:
-                    finite = [le for le in data["buckets"] if le != "+Inf"]
-                    finite.sort(key=float)
-                    series.le_keys = finite
-                    series.bounds = [float(le) for le in finite]
-                cum = tuple(data["buckets"].get(le, 0.0)
-                            for le in series.le_keys)
-                series.points.append((now, cum, data["count"],
-                                      data["sum"]))
+            for name, (kind, _, values) in families.items():
+                for labels, value in values.items():
+                    series = self._get_series(name, labels, kind)
+                    if kind == "histogram":
+                        # One bounds list per series: a pool worker's
+                        # snapshots arrive with a fresh copy every tick.
+                        if series.bounds is None:
+                            series.bounds = value.bounds
+                        value = HistogramSnapshot(value.counts, value.total,
+                                                  value.sum, series.bounds)
+                    series.points.append((now, value))
             self.samples_taken += 1
             self.last_sample_ts = now
         self._m_samples.inc()
@@ -312,20 +251,16 @@ class Timeline:
             now = self._now(now)
             merged: HistogramSnapshot | None = None
             for series in self._matching(metric):
-                if series.kind != "histogram" or series.bounds is None:
+                if series.kind != "histogram":
                     continue
                 points = series.window_points(now, window_s)
                 if len(points) < 2:
                     continue
-                snap = _delta_snapshot(points[0], points[-1],
-                                       series.bounds)
+                snap = points[-1][1].minus(points[0][1])
                 if merged is None:
                     merged = snap
                 elif merged.bounds == snap.bounds:
-                    merged = HistogramSnapshot(
-                        [a + b for a, b in zip(merged.counts, snap.counts)],
-                        merged.total + snap.total,
-                        merged.sum + snap.sum, merged.bounds)
+                    merged = merged.plus(snap)
             return merged
 
     def quantile(self, metric: str, q: float,
@@ -366,25 +301,11 @@ class Timeline:
                    "series": []}
             for series in self._matching(metric):
                 points = series.window_points(now, window_s)
-                entry = {"labels": series.labels, "kind": series.kind,
+                entry = {"labels": metrics.label_string(series.labels),
+                         "kind": series.kind,
                          "points": _export_points(series, points)}
                 out["series"].append(entry)
             return out
-
-
-def _delta_snapshot(p0, p1, bounds: list[float]) -> HistogramSnapshot:
-    """Diff two cumulative histogram points into a per-bucket snapshot."""
-    _, cum0, count0, sum0 = p0
-    _, cum1, count1, sum1 = p1
-    per_bucket: list[int] = []
-    prev0 = prev1 = 0.0
-    for c0, c1 in zip(cum0, cum1):
-        per_bucket.append(int(max((c1 - prev1) - (c0 - prev0), 0)))
-        prev0, prev1 = c0, c1
-    overflow = int(max((count1 - prev1) - (count0 - prev0), 0))
-    per_bucket.append(overflow)
-    total = int(max(count1 - count0, 0))
-    return HistogramSnapshot(per_bucket, total, sum1 - sum0, bounds)
 
 
 def _export_points(series: TimelineSeries, points: list) -> list:
@@ -394,7 +315,7 @@ def _export_points(series: TimelineSeries, points: list) -> list:
             dt = p1[0] - p0[0]
             if dt <= 0:
                 continue
-            snap = _delta_snapshot(p0, p1, series.bounds or [])
+            snap = p1[1].minus(p0[1])
             if snap.total > 0:
                 out.append([p1[0], snap.total / dt,
                             snap.quantile(0.50), snap.quantile(0.99)])

@@ -26,8 +26,9 @@ Endpoint contract (all bodies JSON):
     per-scenario micro-batcher counters + latency quantiles + service
     settings
 ``GET /metrics``
-    Prometheus text exposition of the process metrics registry
-    (``repro.obs.metrics``) — serving, streaming and profiling series
+    Prometheus text exposition of the service's metric families
+    (``repro.obs.metrics``) — serving, streaming and profiling series,
+    merged across pool workers on the pooled tier
 ``POST /recommend``
     request ``{"dataset": str, "model": str, "history": [int, ...],
     "k": int?}`` → ``{"items": [...], "scores": [...],
@@ -98,7 +99,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_bytes(self, body: bytes, content_type: str,
                     status: int = 200) -> None:
-        self._last_status = status
+        self._count(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -153,24 +154,35 @@ class _Handler(BaseHTTPRequestHandler):
     def _observed(self, route) -> None:
         """Time one request, count it, and emit the access-log line."""
         tick = time.perf_counter()
-        self._last_status = 0       # left 0 if the handler dies mid-write
+        self._status = 0            # stays 0 if the handler dies unanswered
         self._trace_id = None
         try:
             route()
         finally:
+            self._count(0)
             elapsed = time.perf_counter() - tick
-            # Strip the query string so /timeline?metric=... collapses
-            # into the /timeline label (bounded cardinality).
-            bare = self.path.partition("?")[0]
-            path = bare if bare in _KNOWN_ROUTES else "other"
-            metrics.counter(
-                "repro_http_requests_total", "HTTP requests served",
-                labels={"path": path, "method": self.command,
-                        "status": str(self._last_status)}).inc()
             self.server.log_access(
                 method=self.command, path=self.path,
-                status=self._last_status, latency_ms=elapsed * 1e3,
+                status=self._status, latency_ms=elapsed * 1e3,
                 trace_id=self._trace_id)
+
+    def _count(self, status: int) -> None:
+        """Count this request once, before any byte of its response.
+
+        A client that has read its response then finds the request in
+        its next ``/metrics`` scrape, whichever connection that takes.
+        """
+        if self._status:
+            return
+        self._status = status
+        # Strip the query string so /timeline?metric=... collapses into
+        # the /timeline label (bounded cardinality).
+        bare = self.path.partition("?")[0]
+        path = bare if bare in _KNOWN_ROUTES else "other"
+        metrics.counter(
+            "repro_http_requests_total", "HTTP requests served",
+            labels={"path": path, "method": self.command,
+                    "status": str(status)}).inc()
 
     def _route_get(self) -> None:
         service = self.server.service
@@ -194,10 +206,10 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/stats":
                 self._send(service.stats())
             elif path == "/metrics":
-                # The service decides what one scrape means: in-process
-                # renders the global registry, the pooled tier merges
-                # per-worker expositions into it.
-                self._send_bytes(service.metrics_text().encode(),
+                # The service decides what one scrape means (the global
+                # registry in-process, merged with every worker's when
+                # pooled); text is written here and nowhere else.
+                self._send_bytes(metrics.render(service.metrics()).encode(),
                                  "text/plain; version=0.0.4")
             else:
                 self._error(f"unknown route {self.path!r}", 404)

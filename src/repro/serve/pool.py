@@ -344,7 +344,7 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
             reply(("stats", message[1],
                    {"pid": os.getpid(), "scenarios": counters}))
         elif kind == "metrics":
-            reply(("metrics", message[1], metrics.render_prometheus()))
+            reply(("metrics", message[1], metrics.REGISTRY.collect()))
         elif kind == "stop":
             table.close()                  # drain everything still queued
             reply(("bye", message[1]))
@@ -725,16 +725,16 @@ class WorkerPool:
                 "fence": dict(self._fence_state, timeout_s=FENCE_TIMEOUT_S),
                 "per_worker": per_worker}
 
-    def metrics_texts(self, timeout: float = 10.0) -> list[str]:
-        """One Prometheus exposition per live worker."""
+    def metrics(self, timeout: float = 10.0) -> list[dict]:
+        """One ``MetricsRegistry.collect()`` result per live worker."""
         waits = self._broadcast("metrics")
-        texts = []
+        families = []
         for _, future in waits:
             try:
-                texts.append(future.result(timeout=timeout))
+                families.append(future.result(timeout=timeout))
             except (WorkerDied, TimeoutError):  # pragma: no cover - racing
                 continue
-        return texts
+        return families
 
     # -- lifecycle -----------------------------------------------------------
 

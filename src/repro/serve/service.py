@@ -220,7 +220,7 @@ class RecommendationService:
                           start: bool = True):
         """Attach a timeline + SLO health monitor (idempotent).
 
-        The monitor samples this service's own ``metrics_text()`` —
+        The monitor samples this service's own :meth:`metrics` —
         already merged across pool workers on the pooled tier — every
         ``interval_s`` seconds and evaluates its rules after each
         sample. ``start=False`` skips the background thread so tests
@@ -291,16 +291,16 @@ class RecommendationService:
             payload["stream"] = self.stream.stats()
         return payload
 
-    def metrics_text(self) -> str:
-        """The Prometheus exposition for ``GET /metrics``.
+    def metrics(self) -> dict:
+        """This service's metric families (``GET /metrics``, the monitor).
 
-        In-process this is the process registry's render; the pooled
-        tier merges every worker's exposition into it.
+        In-process these are the process registry's; the pooled tier
+        merges every worker's families into them.
         """
+        families = metrics.REGISTRY.collect()
         if self.pool is None:
-            return metrics.render_prometheus()
-        return metrics.merge_expositions(
-            [metrics.render_prometheus()] + self.pool.metrics_texts())
+            return families
+        return metrics.merge([families] + self.pool.metrics())
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ def registry():
 
 def make_monitor(registry, rules, window_s=60.0):
     timeline = Timeline(window_s=window_s, interval_s=1.0,
-                        source=registry.render)
+                        source=registry.collect)
     return HealthMonitor(timeline, rules=rules), timeline
 
 

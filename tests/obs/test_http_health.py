@@ -113,7 +113,7 @@ def test_timeline_bad_window_is_a_400(monitored):
 def test_timeline_query_collapses_into_bounded_path_label(monitored):
     server, _, monitor, _ = monitored
     _get(server, f"/timeline?metric={TRIP_GAUGE}&window=60")
-    parsed = metrics.parse_prometheus(metrics.render_prometheus())
+    parsed = metrics.parse_prometheus(metrics.REGISTRY.render())
     timeline_labels = [labels for (name, labels) in parsed
                        if name == "repro_http_requests_total"
                        and "timeline" in labels]

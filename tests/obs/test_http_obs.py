@@ -210,13 +210,17 @@ def test_sampled_hot_swap_trace_phases_sum_to_total(tmp_path, rng):
     assert swap["version"] == report.version
     names = [s["name"] for s in swap["spans"]]
     for phase in ("snapshot", "pre_warm", "index_build", "gate",
-                  "checkpoint", "publish", "drain"):
+                  "checkpoint", "publish", "fence", "drain"):
         assert phase in names, f"missing swap phase {phase}"
     assert swap["span_sum_ms"] <= swap["total_ms"] * 1.01
     assert swap["span_sum_ms"] >= swap["total_ms"] * _COVERAGE
-    # Phase histograms recorded into the registry too.
-    phase_counts = [v for (name, labels), v
-                    in metrics.parse_prometheus(
-                        metrics.render_prometheus()).items()
-                    if name == "repro_stream_swap_phase_seconds_count"]
-    assert phase_counts and all(v >= 1.0 for v in phase_counts)
+    # Every phase this trace recorded reached this scenario's phase
+    # histograms too (other tests' scenarios share the registry).
+    _, _, series = metrics.REGISTRY.collect()[
+        "repro_stream_swap_phase_seconds"]
+    phase_counts = {dict(key)["phase"]: snap.total
+                    for key, snap in series.items()
+                    if dict(key)["scenario"] == "kwai_food:pmmrec-text"}
+    for phase in names:
+        assert phase_counts.get(phase, 0) >= 1, \
+            f"phase {phase} missing from the registry: {phase_counts}"

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import (DEFAULT_FACTOR, Histogram, MetricsRegistry,
-                               merge_expositions, parse_label_string,
-                               parse_prometheus)
+                               merge, parse_label_string, parse_prometheus,
+                               render)
 
 
 @pytest.fixture()
@@ -201,6 +201,22 @@ def test_prometheus_render_parse_round_trip(registry):
     assert inf == [3.0]
 
 
+def test_rendered_values_parse_back_exactly(registry):
+    """Six significant digits would print 1234567 as 1.23457e+06 (and
+    keep printing it after three more increments) and a histogram sum
+    of 0.123456789 as 0.123457."""
+    counter = registry.counter("big_total")
+    counter.inc(1_234_567)
+    hist = registry.histogram("exact_seconds")
+    hist.observe(0.123456789)
+    parsed = parse_prometheus(registry.render())
+    assert parsed[("big_total", "")] == 1_234_567.0
+    assert parsed[("exact_seconds_sum", "")] == 0.123456789
+    counter.inc(3)
+    assert parse_prometheus(registry.render())[("big_total", "")] \
+        == 1_234_570.0
+
+
 def test_parse_prometheus_rejects_garbage():
     with pytest.raises(ValueError, match="unparseable"):
         parse_prometheus("this is { not an exposition\n")
@@ -226,18 +242,26 @@ def test_unregistered_instrument_always_writes():
     assert hist.count == 1
 
 
-def test_registry_json_snapshot(registry):
-    registry.counter("snap_total", labels={"k": "v"}).inc(2)
+def test_registry_collect_families(registry):
     registry.histogram("snap_seconds").observe(1e-3)
-    snap = registry.snapshot()
-    assert snap["snap_total"]["k=v"] == 2.0
-    assert snap["snap_seconds"][""]["count"] == 1
+    registry.counter("snap_total", labels={"k": "w"}).inc(3)
+    registry.counter("snap_total", "a counter", labels={"k": "v"}).inc(2)
+    families = registry.collect()
+    assert list(families) == ["snap_seconds", "snap_total"]   # sorted
+    kind, help_text, series = families["snap_total"]
+    assert (kind, help_text) == ("counter", "a counter")
+    assert series == {(("k", "v"),): 2.0, (("k", "w"),): 3.0}
+    assert list(series) == [(("k", "v"),), (("k", "w"),)]
+    kind, _, series = families["snap_seconds"]
+    assert kind == "histogram"
+    assert series[()].total == 1 and series[()].sum == 1e-3
+    assert render(families) == registry.render()
 
 
 # -- cross-process merge semantics --------------------------------------------
 
 
-def _worker_exposition(counter_value, gauge_value, observations):
+def _worker_families(counter_value, gauge_value, observations):
     registry = MetricsRegistry()
     registry.counter("m_requests_total",
                      labels={"path": "/x"}).inc(counter_value)
@@ -245,29 +269,34 @@ def _worker_exposition(counter_value, gauge_value, observations):
     hist = registry.histogram("m_seconds")
     for value in observations:
         hist.observe(value)
-    return registry.render()
+    return registry.collect()
 
 
 def test_merge_counters_sum_but_gauges_take_max():
     """Pin the merge semantics: summing a level (staleness, streaks,
     queue depth) across processes is meaningless — the fleet's health
     is its worst member, so gauges aggregate by max."""
-    merged = parse_prometheus(merge_expositions([
-        _worker_exposition(3, 10.0, [1e-3]),
-        _worker_exposition(4, 250.0, [1e-3, 1e-2])]))
-    assert merged[("m_requests_total", '{path="/x"}')] == 7.0
-    assert merged[("m_staleness_seconds", "")] == 250.0   # max, not 260
-    assert merged[("m_seconds_count", "")] == 3.0         # histograms sum
+    first = _worker_families(3, 10.0, [1e-3])
+    second = _worker_families(4, 250.0, [1e-3, 1e-2])
+    merged = merge([first, second])
+    assert merged["m_requests_total"][2][(("path", "/x"),)] == 7.0
+    assert merged["m_staleness_seconds"][2][()] == 250.0   # max, not 260
+    hist = merged["m_seconds"][2][()]                      # histograms sum
+    assert hist.total == 3
+    assert hist.sum == pytest.approx(1e-3 + 1e-3 + 1e-2)
+    assert hist.counts == [a + b for a, b in zip(
+        first["m_seconds"][2][()].counts, second["m_seconds"][2][()].counts)]
+    # The sources are left as they were.
+    assert first["m_requests_total"][2][(("path", "/x"),)] == 3.0
 
 
 def test_merge_gauge_nan_loses_to_any_real_reading():
-    """A forked worker renders parent pull-gauges as NaN/0; the merge
+    """A forked worker reports parent pull-gauges as NaN/0; the merge
     must prefer the authoritative real reading in either order."""
-    nan_text = "# TYPE g_depth gauge\ng_depth nan\n"
-    real_text = "# TYPE g_depth gauge\ng_depth 7\n"
-    for order in ([nan_text, real_text], [real_text, nan_text]):
-        merged = parse_prometheus(merge_expositions(order))
-        assert merged[("g_depth", "")] == 7.0
+    nan = {"g_depth": ("gauge", "", {(): float("nan")})}
+    real = {"g_depth": ("gauge", "", {(): 7.0})}
+    for order in ([nan, real], [real, nan]):
+        assert merge(order)["g_depth"][2][()] == 7.0
 
 
 # -- label escaping round trips ------------------------------------------------

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import Timeline, collect_families
+from repro.obs.timeline import Timeline
 
 T0 = 1_000_000.0
 
@@ -20,29 +20,31 @@ def registry():
 
 def make_timeline(registry, window_s=60.0, interval_s=1.0):
     return Timeline(window_s=window_s, interval_s=interval_s,
-                    source=registry.render)
+                    source=registry.collect)
 
 
 # -- collection ----------------------------------------------------------------
 
 
-def test_collect_families_types_and_histogram_folding(registry):
+def test_sample_keys_series_by_name_and_label_key(registry):
     registry.counter("cf_total", labels={"path": "/x"}).inc(3)
     registry.gauge("cf_depth").set(7)
     registry.histogram("cf_seconds",
                        labels={"scenario": "a:b"}).observe(1e-3)
-    families = collect_families(registry.render())
-    assert families["kinds"]["cf_total"] == "counter"
-    assert families["kinds"]["cf_seconds"] == "histogram"
-    assert families["scalars"][("cf_total", '{path="/x"}')] == 3.0
-    assert families["scalars"][("cf_depth", "")] == 7.0
-    # _bucket/_sum/_count fold into one family keyed without `le`.
-    ((family, labels),) = [k for k in families["histograms"]]
-    assert family == "cf_seconds" and labels == '{scenario="a:b"}'
-    entry = families["histograms"][(family, labels)]
-    assert entry["count"] == 1.0
-    assert entry["sum"] == pytest.approx(1e-3)
-    assert entry["buckets"]    # cumulative le → value map
+    timeline = make_timeline(registry)
+    timeline.sample(now=T0)
+    assert set(timeline._series) == {
+        ("cf_total", (("path", "/x"),)), ("cf_depth", ()),
+        ("cf_seconds", (("scenario", "a:b"),))}
+    counter = timeline._series[("cf_total", (("path", "/x"),))]
+    assert counter.kind == "counter" and list(counter.points) == [(T0, 3.0)]
+    assert list(timeline._series[("cf_depth", ())].points) == [(T0, 7.0)]
+    # A histogram is one series per label set, its points snapshots.
+    hist = timeline._series[("cf_seconds", (("scenario", "a:b"),))]
+    ((ts, snap),) = hist.points
+    assert hist.kind == "histogram" and ts == T0
+    assert snap.total == 1 and snap.sum == pytest.approx(1e-3)
+    assert snap.bounds is hist.bounds
 
 
 def test_ring_buffer_is_bounded_forever(registry):
@@ -78,14 +80,30 @@ def test_counter_reset_clamps_to_zero_not_negative():
     values = iter([100.0, 150.0, 5.0, 25.0])
 
     def source():
-        return (f"# TYPE reset_total counter\n"
-                f"reset_total {next(values)}\n")
+        return {"reset_total": ("counter", "", {(): next(values)})}
 
     timeline = Timeline(window_s=60.0, interval_s=1.0, source=source)
     for tick in range(4):
         timeline.sample(now=T0 + tick)
     # +50, reset (clamped to 0), +20 — never negative.
     assert timeline.increase("reset_total", 60.0) == pytest.approx(70.0)
+
+
+def test_histogram_reset_clamps_to_zero_not_negative():
+    """A merged histogram shrinks when a worker restarts; the window
+    reads that as no observations, never negative counts."""
+    before, after = MetricsRegistry(), MetricsRegistry()
+    for value in (1e-3, 1e-3, 1.0):
+        before.histogram("hr_seconds").observe(value)
+    after.histogram("hr_seconds").observe(1e-3)
+    sources = iter([before.collect(), after.collect()])
+    timeline = Timeline(window_s=60.0, interval_s=1.0,
+                        source=lambda: next(sources))
+    timeline.sample(now=T0)
+    timeline.sample(now=T0 + 1)
+    snap = timeline.histogram_window("hr_seconds", 60.0)
+    assert snap.total == 0 and not any(snap.counts)
+    assert timeline.quantile("hr_seconds", 0.5, 60.0) is None
 
 
 def test_increase_returns_none_without_data(registry):
@@ -207,7 +225,7 @@ def test_bad_scrape_counts_error_and_survives():
         calls[0] += 1
         if calls[0] == 2:
             raise RuntimeError("scrape broke")
-        return "# TYPE ok_total counter\nok_total 1\n"
+        return {"ok_total": ("counter", "", {(): 1.0})}
 
     timeline = Timeline(window_s=10.0, interval_s=1.0, source=source)
     timeline.sample(now=T0)
@@ -241,6 +259,6 @@ def test_background_sampler_start_stop(registry):
 
 def test_constructor_validation(registry):
     with pytest.raises(ValueError):
-        Timeline(window_s=10.0, interval_s=0.0, source=registry.render)
+        Timeline(window_s=10.0, interval_s=0.0, source=registry.collect)
     with pytest.raises(ValueError):
-        Timeline(window_s=0.5, interval_s=1.0, source=registry.render)
+        Timeline(window_s=0.5, interval_s=1.0, source=registry.collect)

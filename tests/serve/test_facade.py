@@ -4,8 +4,9 @@
 itself and only dispatches to in-process batchers (``workers=0``) or a
 worker pool (``workers=2``). Each test here runs against both tiers:
 malformed requests are a 400 before they join a batch, ``/stats``
-counters survive a generation swap and agree with ``/metrics``, and the
-``/stats`` key set that ``repro top`` and perfbench read is identical.
+counters survive a generation swap and agree with ``/metrics``, the
+``/stats`` key set that ``repro top`` and perfbench read is identical,
+and the self-monitor reads metric families without rendering text.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ import urllib.request
 import pytest
 
 from repro.obs import metrics
+from repro.obs.health import Rule
 from repro.serve import ModelRegistry, RecommendationService, make_server
 from repro.stream import StreamConfig, StreamManager
 
 SCENARIO = "kwai_food:sasrec"
+T0 = 4_000_000.0
 
 #: The per-scenario ``/stats`` keys, identical on both tiers.
 SCENARIO_KEYS = {"requests", "batches", "size_flushes", "timeout_flushes",
@@ -167,3 +170,33 @@ def test_stats_key_set_is_the_same_on_both_tiers(tier):
                                       "cache_size", "workers"}
     assert {"swaps_rejected", "round_errors"} \
         <= set(stats["stream"]["totals"])
+
+
+def test_monitor_never_renders_text(tier, monkeypatch):
+    """Timeline ticks and health rules read metric structures on both
+    tiers: with every text renderer broken, they still record and no
+    tick counts as a failed scrape."""
+    service, server = tier
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the monitor rendered exposition text")
+
+    monkeypatch.setattr(metrics.MetricsRegistry, "render", broken)
+    monkeypatch.setattr(metrics, "render", broken, raising=False)
+    errors = metrics.counter("repro_timeline_sample_errors_total")
+    errors_before = errors.value
+    monitor = service.enable_monitoring(start=False, rules=[
+        Rule("served", kind="increase",
+             metric="repro_serve_batcher_requests_total",
+             label_prefix=("scenario", "kwai_food:"), limit=1e9)])
+    timeline = monitor.timeline
+    timeline.sample(now=T0)
+    assert _recommend(server, _histories(service, 1)[0], k=3)[0] == 200
+    timeline.sample(now=T0 + 1)
+    assert errors.value == errors_before
+    assert timeline.samples_taken == 2
+    # Worker-side batcher counters reach the timeline on both tiers.
+    assert timeline.latest_values("repro_serve_batcher_requests_total")
+    status = monitor.status()
+    assert status["last_evaluated"] == T0 + 1
+    assert status["rules"]["served"]["value"] >= 1.0

@@ -95,7 +95,7 @@ def test_metrics_merge_sums_worker_counters(registry, pooled):
     history = _history(registry, "kwai_food", "sasrec", row=1)
     for _ in range(3):
         pooled.recommend("kwai_food", "sasrec", history, k=7)
-    text = pooled.metrics_text()
+    text = metrics.render(pooled.metrics())
     parsed = metrics.parse_prometheus(text)
     batcher_requests = sum(
         v for (name, labels), v in parsed.items()
