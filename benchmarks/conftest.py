@@ -8,9 +8,21 @@ artifact under ``results/``.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
+
+
+def host_note() -> str:
+    """Cores and BLAS threading of this run, for an artifact's header.
+
+    Ratios timed in process-CPU time count OpenBLAS helper threads too,
+    so the same code records different speedups under different
+    threading; an artifact must say which it measured.
+    """
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "default")
+    return f"host: {os.cpu_count()} cores, OPENBLAS_NUM_THREADS={threads}"
 
 
 def emit(name: str, rendered: str) -> None:

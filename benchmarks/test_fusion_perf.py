@@ -2,10 +2,10 @@
 
 Measures the win of the fused one-node kernels (``repro.nn.fused``:
 transformer block, attention, LayerNorm, linear/FFN, softmax-CE,
-InfoNCE) over the ``REPRO_FUSED=0`` escape hatch — the exact same
-engine running the unfused multi-node graph — at this reproduction's
-paper-scale shapes (batch 24, seq len 30, dim 32, 4 heads, dropout 0.1,
-float32, causal+padding masks).
+InfoNCE) over the unfused parity oracle (``tests/nn/unfused.py``) —
+the exact same engine running the multi-node composition — at this
+reproduction's paper-scale shapes (batch 24, seq len 30, dim 32, 4
+heads, dropout 0.1, float32, causal+padding masks).
 
 Two kinds of cases:
 
@@ -33,8 +33,9 @@ from repro.core import PMMRec, PMMRecConfig
 from repro.core.user_encoder import UserEncoder
 from repro.data import build_dataset, pad_sequences
 from repro.nn.tensor import Tensor
+from tests.nn.unfused import kernel_path
 
-from .conftest import emit
+from .conftest import emit, host_note
 
 #: This repo's paper-profile training shapes (TrainConfig defaults).
 BATCH, SEQ_LEN, DIM, HEADS = 24, 30, 32, 4
@@ -76,7 +77,7 @@ def _train_step(encoder, head, x, valid, targets, opt):
 def _interleaved_ratio(fn, iters: int, rounds: int = 12) -> tuple[float, float, float]:
     """(unfused_ms, fused_ms, ratio) via alternating min-of-N CPU timing."""
     def timed(fused: bool) -> float:
-        with nn.use_fused(fused):
+        with kernel_path(fused):
             t0 = time.process_time()
             for _ in range(iters):
                 fn()
@@ -106,12 +107,12 @@ def test_perf_transformer_block_train(benchmark, fused):
     mask = nn.causal_mask(SEQ_LEN)[None, None]
 
     def step():
-        with nn.use_fused(fused):
-            out = block(Tensor(x, requires_grad=True), mask=mask)
-            (out ** 2.0).sum().backward()
+        out = block(Tensor(x, requires_grad=True), mask=mask)
+        (out ** 2.0).sum().backward()
         return float(out.data.sum())
 
-    benchmark(step)
+    with kernel_path(fused):
+        benchmark(step)
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
@@ -121,13 +122,13 @@ def test_perf_softmax_cross_entropy(benchmark, fused):
     targets = rng.integers(0, NUM_ITEMS, size=BATCH * SEQ_LEN)
 
     def step():
-        with nn.use_fused(fused):
-            t = Tensor(logits, requires_grad=True)
-            loss = nn.softmax_cross_entropy(t, targets)
-            loss.backward()
+        t = Tensor(logits, requires_grad=True)
+        loss = nn.softmax_cross_entropy(t, targets)
+        loss.backward()
         return float(loss.data)
 
-    benchmark(step)
+    with kernel_path(fused):
+        benchmark(step)
 
 
 # -- recorded acceptance case (slow: writes results/fusion_bench.txt) ----------
@@ -143,10 +144,12 @@ def test_fusion_speedup_record():
     paper shapes — must be ≥1.5x faster fused than unfused. The
     supporting cases are recorded with regression floors.
     """
-    lines = ["# Fused-kernel autograd core — fused vs unfused (REPRO_FUSED=0)",
+    lines = ["# Fused-kernel autograd core — fused vs the unfused test oracle "
+             "(tests/nn/unfused.py)",
              f"# shapes: batch={BATCH} seq={SEQ_LEN} dim={DIM} heads={HEADS} "
              "dropout=0.1 float32",
              "# timing: min over 12 alternating rounds, process-CPU time",
+             f"# {host_note()}",
              ""]
     results = {}
 

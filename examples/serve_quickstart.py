@@ -8,7 +8,8 @@ Walks the whole serving stack at ``smoke`` scale in a few seconds::
    transfer story as a serving concern),
 2. answer requests through the micro-batched service API,
 3. start the stdlib HTTP endpoint on an ephemeral port and query it,
-4. benchmark batched top-k retrieval against a full-catalogue sort.
+4. benchmark batched top-k retrieval against a full-catalogue sort,
+5. compare exact and IVF retrieval on a 20k-item catalogue.
 
 See ``docs/serving.md`` for the architecture and the endpoint contract.
 """
@@ -67,18 +68,16 @@ def main() -> None:
 
     # -- 5. approximate retrieval at catalogue scale -----------------------
     # Past ~10k items exact scoring stops fitting the latency budget;
-    # `retrieval="ivf"`/"lsh" shortlists candidates and re-ranks genuine
-    # model scores (docs/serving.md, "Retrieval backends"). On a
-    # clustered 20k-item synthetic catalogue:
-    from repro.serve import (IVFIndex, LSHIndex, bench_retrieval,
-                             render_retrieval, synthetic_catalog,
-                             synthetic_queries)
+    # `retrieval="ivf"` probes a few k-means cells for candidates and
+    # re-ranks them by genuine model scores (docs/serving.md, "Retrieval
+    # backends"). On a clustered 20k-item synthetic catalogue:
+    from repro.serve import (IVFIndex, bench_retrieval, render_retrieval,
+                             synthetic_catalog, synthetic_queries)
     catalog = synthetic_catalog(20_000, dim=32, seed=0)
     queries = synthetic_queries(catalog, 64, seed=1)
     reports = bench_retrieval(catalog, queries, k=10,
                               backends={"exact": None,
-                                        "ivf": IVFIndex(seed=0),
-                                        "lsh": LSHIndex(seed=0)})
+                                        "ivf": IVFIndex(seed=0)})
     print()
     print(render_retrieval(reports, title="retrieval backends (20k items)"))
 

@@ -272,17 +272,15 @@ def _add_obs_args(sub) -> None:
 
 def _add_retrieval_args(sub) -> None:
     """Retrieval-backend flags shared by ``serve`` and ``bench-serve``."""
-    sub.add_argument("--retrieval", default="exact",
-                     choices=["exact", "ivf", "lsh"],
-                     help="top-k backend: exact full-catalogue scoring, "
-                          "IVF (k-means cells) or random-hyperplane LSH")
+    from .serve.ann import ANN_KINDS
+    sub.add_argument("--retrieval", default="exact", choices=ANN_KINDS,
+                     help="top-k backend: exact full-catalogue scoring "
+                          "or IVF (k-means cells)")
     sub.add_argument("--nlist", type=int, default=None,
                      help="IVF cells (default 4*sqrt(num_items))")
     sub.add_argument("--nprobe", type=int, default=None,
                      help="IVF cells scanned per query (default nlist/32, "
                           "floor 4)")
-    sub.add_argument("--lsh-bits", type=int, default=None,
-                     help="LSH code width in bits (default 128)")
     sub.add_argument("--ann-min-items", type=int, default=None,
                      help="catalogue-size floor below which retrieval "
                           "falls back to exact scoring (default 1024)")
@@ -293,8 +291,6 @@ def _ann_params(args) -> dict | None:
     if args.retrieval == "ivf":
         return {"nlist": args.nlist, "nprobe": args.nprobe,
                 "seed": args.seed}
-    if args.retrieval == "lsh":
-        return {"bits": args.lsh_bits, "seed": args.seed}
     return None
 
 

@@ -138,7 +138,7 @@ def nid_loss(corrupt_hidden: Tensor, classifier, labels: np.ndarray,
     """
     logits = classifier(corrupt_hidden).relu()
     masked_labels = np.where(np.asarray(mask, dtype=bool), labels, -1)
-    # Fused softmax+NLL node (REPRO_FUSED=0 restores the unfused chain).
+    # Fused softmax+NLL node: one graph node for the whole loss.
     return softmax_cross_entropy(logits, masked_labels, ignore_index=-1)
 
 

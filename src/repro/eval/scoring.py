@@ -15,12 +15,12 @@ It lives in ``repro.eval`` (below ``core``/``baselines``/``serve`` in
 the dependency graph, needing only ``data.batching`` + ``nn.tensor``)
 and is re-exported by ``repro.serve.scoring``.
 
-The user-encoder forward this kernel runs inherits the fused one-node
-attention/LayerNorm kernels (``repro.nn.fused``) automatically, so
-``bench-serve`` and ANN re-ranking speed up with no change here; the
-fused forward is bit-for-bit identical to the unfused composition
-(``REPRO_FUSED=0``), so ranks — and the kernel-parity goldens in
-``tests/eval/test_scoring_parity.py`` — are unchanged either way.
+The user-encoder forward this kernel runs goes through the fused
+one-node attention/LayerNorm kernels (``repro.nn.fused``), whose forward
+is bit-for-bit identical to the unfused composition: the kernel-parity
+goldens in ``tests/eval/test_scoring_parity.py`` score every model
+through both (the composition via the test suite's parity oracle) and
+require identical catalogues, scores and ranks.
 """
 
 from __future__ import annotations

@@ -7,12 +7,11 @@ against finite differences.
 """
 
 from .attention import MultiHeadAttention, TransformerBlock, causal_mask, padding_mask
-from .cluster import hamming_distances, kmeans, kmeans_assign, sign_codes
+from .cluster import kmeans, kmeans_assign
 from .convolution import CausalConv1d, NextItNetResidualBlock
-from .fused import (feed_forward, fusion_enabled, info_nce, layer_norm,
-                    linear, multi_head_attention,
-                    scaled_dot_product_attention, softmax_cross_entropy,
-                    transformer_block, use_fused)
+from .fused import (feed_forward, info_nce, layer_norm, linear,
+                    multi_head_attention, scaled_dot_product_attention,
+                    softmax_cross_entropy, transformer_block)
 from .modules import (Dropout, Embedding, FeedForward, Identity, LayerNorm,
                       Linear, Module, ModuleList, Sequential, inference_mode)
 from .ops import (cosine_similarity, cross_entropy, dropout, dropout_mask,
@@ -37,10 +36,9 @@ __all__ = [
     "GRU", "GRUCell", "CausalConv1d", "NextItNetResidualBlock",
     "softmax", "log_softmax", "cross_entropy", "embedding", "take_rows",
     "topk", "gelu", "masked_fill", "dropout", "info_nce", "cosine_similarity",
-    "fusion_enabled", "use_fused", "scaled_dot_product_attention",
-    "multi_head_attention", "transformer_block", "softmax_cross_entropy",
-    "layer_norm", "linear", "feed_forward", "dropout_mask",
-    "kmeans", "kmeans_assign", "sign_codes", "hamming_distances",
+    "scaled_dot_product_attention", "multi_head_attention",
+    "transformer_block", "softmax_cross_entropy", "layer_norm", "linear",
+    "feed_forward", "dropout_mask", "kmeans", "kmeans_assign",
     "SGD", "Adam", "AdamW", "clip_grad_norm",
     "ConstantSchedule", "WarmupCosineSchedule",
     "save_checkpoint", "load_checkpoint", "checkpoint_meta",

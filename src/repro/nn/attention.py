@@ -4,11 +4,12 @@ Used for every Transformer in the paper: the RoBERTa-style text encoder,
 the ViT vision encoder, the merge-attention fusion block (Eq. 3) and the
 SASRec-style user encoder (Eq. 4, causal variant).
 
-The scaled-dot-product chain runs through the fused one-node kernel
-(:func:`repro.nn.fused.scaled_dot_product_attention`); set
-``REPRO_FUSED=0`` to restore the unfused matmul/softmax composition.
-Constant masks are cached so training loops don't rebuild them on every
-forward call.
+Self-attention and whole encoder layers run as fused one-node kernels
+(:func:`repro.nn.fused.multi_head_attention` and
+:func:`repro.nn.fused.transformer_block`); cross-attention projects
+through :class:`Linear` and attends with
+:func:`repro.nn.fused.scaled_dot_product_attention`. Constant masks are
+cached so training loops don't rebuild them on every forward call.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import functools
 
 import numpy as np
 
-from .fused import (fusion_enabled, multi_head_attention,
-                    scaled_dot_product_attention, transformer_block)
+from .fused import (multi_head_attention, scaled_dot_product_attention,
+                    transformer_block)
 from .modules import Dropout, FeedForward, LayerNorm, Linear, Module
 from .tensor import Tensor
 
@@ -97,10 +98,9 @@ class MultiHeadAttention(Module):
         batch, q_len, _ = query.shape
         k_len = query.shape[1] if key is None else key.shape[1]
 
-        # The attention-weight dropout mask is drawn here (same RNG
-        # stream as the unfused composition used) and folded into the
-        # fused node, so fused and unfused paths stay numerically
-        # identical draw for draw.
+        # The attention-weight dropout mask is drawn here and folded
+        # into the fused node, so the kernel and its unfused composition
+        # consume the same RNG stream draw for draw.
         drop_mask = self.drop.mask_for((batch, self.num_heads, q_len, k_len),
                                        query.data.dtype)
         if key is None and value is None:
@@ -140,33 +140,29 @@ class TransformerBlock(Module):
         self.drop = Dropout(dropout)
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        if fusion_enabled():
-            # The entire layer is one fused node. The four dropout masks
-            # are drawn here in the same order the unfused composition
-            # draws them, so both paths consume identical RNG streams.
-            batch, length, _ = x.shape
-            dtype = x.data.dtype
-            attn = self.attn
-            m_attn = attn.drop.mask_for(
-                (batch, attn.num_heads, length, length), dtype)
-            m_out1 = self.drop.mask_for(x.shape, dtype)
-            m_ffn = self.ffn.drop.mask_for(
-                x.shape[:-1] + (self.ffn.hidden_dim,), dtype)
-            m_out2 = self.drop.mask_for(x.shape, dtype)
-            return transformer_block(
-                x,
-                {"ln1_g": self.norm1.gamma, "ln1_b": self.norm1.beta,
-                 "wq": attn.q_proj.weight, "bq": attn.q_proj.bias,
-                 "wk": attn.k_proj.weight, "bk": attn.k_proj.bias,
-                 "wv": attn.v_proj.weight, "bv": attn.v_proj.bias,
-                 "wo": attn.out_proj.weight, "bo": attn.out_proj.bias,
-                 "ln2_g": self.norm2.gamma, "ln2_b": self.norm2.beta,
-                 "w1": self.ffn.fc1.weight, "b1": self.ffn.fc1.bias,
-                 "w2": self.ffn.fc2.weight, "b2": self.ffn.fc2.bias},
-                num_heads=attn.num_heads, eps=self.norm1.eps,
-                eps2=self.norm2.eps, mask=mask,
-                attn_dropout_mask=m_attn, ffn_dropout_mask=m_ffn,
-                out1_dropout_mask=m_out1, out2_dropout_mask=m_out2)
-        x = x + self.drop(self.attn(self.norm1(x), mask=mask))
-        x = x + self.drop(self.ffn(self.norm2(x)))
-        return x
+        # The entire layer is one fused node. The four dropout masks are
+        # drawn here in the order the layer applies them (attention
+        # weights, attention output, FFN hidden, FFN output).
+        batch, length, _ = x.shape
+        dtype = x.data.dtype
+        attn = self.attn
+        m_attn = attn.drop.mask_for(
+            (batch, attn.num_heads, length, length), dtype)
+        m_out1 = self.drop.mask_for(x.shape, dtype)
+        m_ffn = self.ffn.drop.mask_for(
+            x.shape[:-1] + (self.ffn.hidden_dim,), dtype)
+        m_out2 = self.drop.mask_for(x.shape, dtype)
+        return transformer_block(
+            x,
+            {"ln1_g": self.norm1.gamma, "ln1_b": self.norm1.beta,
+             "wq": attn.q_proj.weight, "bq": attn.q_proj.bias,
+             "wk": attn.k_proj.weight, "bk": attn.k_proj.bias,
+             "wv": attn.v_proj.weight, "bv": attn.v_proj.bias,
+             "wo": attn.out_proj.weight, "bo": attn.out_proj.bias,
+             "ln2_g": self.norm2.gamma, "ln2_b": self.norm2.beta,
+             "w1": self.ffn.fc1.weight, "b1": self.ffn.fc1.bias,
+             "w2": self.ffn.fc2.weight, "b2": self.ffn.fc2.bias},
+            num_heads=attn.num_heads, eps=self.norm1.eps,
+            eps2=self.norm2.eps, mask=mask,
+            attn_dropout_mask=m_attn, ffn_dropout_mask=m_ffn,
+            out1_dropout_mask=m_out1, out2_dropout_mask=m_out2)

@@ -1,17 +1,14 @@
-"""Clustering and binary-code primitives for approximate retrieval.
+"""Clustering primitives for approximate retrieval.
 
-``repro.serve.ann`` builds its IVF coarse quantizer and LSH codes from
-two numpy-level primitives that live here, below the serving stack:
+``repro.serve.ann`` builds its IVF coarse quantizer from the k-means
+that lives here, below the serving stack: memory-bounded Lloyd's
+iterations with optional warm-start centroids, which is what makes
+*incremental* index refreshes cheap (a re-encoded catalogue re-clusters
+from the previous centroids in a couple of iterations instead of from
+scratch).
 
-* :func:`kmeans` — memory-bounded Lloyd's iterations with optional
-  warm-start centroids, which is what makes *incremental* index
-  refreshes cheap (a re-encoded catalogue re-clusters from the previous
-  centroids in a couple of iterations instead of from scratch);
-* :func:`sign_codes` / :func:`hamming_distances` — random-hyperplane
-  sign codes packed to ``uint8`` and table-driven popcount distances.
-
-Everything is plain numpy on purpose: these run inside the serving
-request path and index-refresh path, never under autograd.
+Everything is plain numpy on purpose: this runs inside the index-refresh
+path, never under autograd.
 
 (``repro.baselines.vqrec`` carries its own small k-means: its centroids
 feed committed, cache-keyed experiment tables, so its numerics are
@@ -22,14 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kmeans", "kmeans_assign", "sign_codes", "hamming_distances"]
-
-#: Bits set per byte value, for vectorized popcounts on packed codes.
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
-                          axis=1).sum(axis=1).astype(np.uint16)
-
-#: numpy >= 2.0 ships a hardware popcount; the table is the fallback.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
+__all__ = ["kmeans", "kmeans_assign"]
 
 
 def kmeans_assign(data: np.ndarray, centroids: np.ndarray,
@@ -106,32 +96,3 @@ def kmeans(data: np.ndarray, num_clusters: int, iters: int = 10,
             break
         assignments = new_assignments
     return centroids, assignments
-
-
-def sign_codes(vectors: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
-    """Packed random-hyperplane sign codes ``(n, ceil(bits/8))`` uint8.
-
-    Bit ``j`` of a row's code is 1 when the row has a non-negative
-    projection onto hyperplane ``j`` — the classic SimHash family whose
-    collision probability is ``1 - angle/pi`` per bit, so hamming
-    distance between codes estimates angular distance between vectors.
-    """
-    vectors = np.atleast_2d(np.asarray(vectors))
-    projections = vectors @ hyperplanes          # (n, bits)
-    return np.packbits(projections >= 0.0, axis=1)
-
-
-def hamming_distances(codes: np.ndarray, query_code: np.ndarray) -> np.ndarray:
-    """Hamming distance from each packed row of ``codes`` to ``query_code``.
-
-    Codes whose byte width is a multiple of 8 take the ``uint64`` +
-    hardware-popcount path (8 bytes per op instead of a table lookup per
-    byte); anything else falls back to the 256-entry table.
-    """
-    query_code = np.asarray(query_code, dtype=np.uint8).reshape(1, -1)
-    if (_HAS_BITWISE_COUNT and codes.shape[1] % 8 == 0
-            and codes.flags.c_contiguous):
-        wide = codes.view(np.uint64)
-        query_wide = np.ascontiguousarray(query_code).view(np.uint64)
-        return np.bitwise_count(wide ^ query_wide).sum(axis=1)
-    return _POPCOUNT[np.bitwise_xor(codes, query_code)].sum(axis=1)

@@ -26,83 +26,24 @@ Each op mirrors the unfused composition's floating-point operation order
 exactly, so the fused forward is bit-for-bit identical to the graph it
 replaces — eval metrics, serving ranks and checkpoints are unaffected.
 
-The escape hatch: fusion is on by default and controlled by the
-``REPRO_FUSED`` environment variable (``REPRO_FUSED=0`` restores the
-unfused multi-node composition everywhere) or, programmatically and with
-higher precedence, the :func:`use_fused` context manager. The parity
-suite (``tests/nn/test_fused.py``) runs both paths against each other
-and against finite differences; CI runs the fast tests under both
-settings.
+These kernels are the only implementation the runtime has. The unfused
+compositions they replace live in the test suite (``tests/nn/unfused.py``)
+as the parity oracle: inside its context manager every fused kernel
+bound in a ``repro`` module runs as its multi-node composition, and the
+parity tests compare the two paths and check the fused backward closures
+against finite differences.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
-
 import numpy as np
 from ..obs import prof
-from . import ops as _ops
-from .ops import _INV_SQRT2, _INV_SQRT_2PI, _NEG_INF, cross_entropy, erf_, \
-    gelu, masked_fill, softmax
+from .ops import _INV_SQRT2, _INV_SQRT_2PI, _NEG_INF, erf_
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
-__all__ = ["fusion_enabled", "use_fused", "scaled_dot_product_attention",
-           "multi_head_attention", "transformer_block",
-           "softmax_cross_entropy", "layer_norm", "linear", "feed_forward",
-           "info_nce"]
-
-_FUSED_ENV = "REPRO_FUSED"
-
-
-class _OverrideStack(threading.local):
-    """Per-thread ``use_fused`` nesting (list-shaped: append/pop/[-1]).
-
-    Thread-local for the same reason as the engine's gradient gate: a
-    ``TrainConfig(fused=...)`` pin on the streaming fine-tune thread
-    must not flip kernel dispatch under concurrent serving threads (and
-    vice versa).
-    """
-
-    def __init__(self):
-        self._stack: list[bool] = []
-
-    def append(self, value: bool) -> None:
-        self._stack.append(value)
-
-    def pop(self) -> bool:
-        return self._stack.pop()
-
-    def __getitem__(self, index: int) -> bool:
-        return self._stack[index]
-
-    def __len__(self) -> int:
-        return len(self._stack)
-
-
-_OVERRIDE = _OverrideStack()
-
-
-def fusion_enabled() -> bool:
-    """Whether fused composite nodes are active.
-
-    A :func:`use_fused` context wins over the ``REPRO_FUSED`` environment
-    variable; the environment variable defaults to on.
-    """
-    if _OVERRIDE:
-        return _OVERRIDE[-1]
-    return os.environ.get(_FUSED_ENV, "1") != "0"
-
-
-@contextlib.contextmanager
-def use_fused(flag: bool):
-    """Scope fused-kernel dispatch on (``True``) or off (``False``)."""
-    _OVERRIDE.append(bool(flag))
-    try:
-        yield
-    finally:
-        _OVERRIDE.pop()
+__all__ = ["scaled_dot_product_attention", "multi_head_attention",
+           "transformer_block", "softmax_cross_entropy", "layer_norm",
+           "linear", "feed_forward", "info_nce"]
 
 
 # -- attention -----------------------------------------------------------------
@@ -192,16 +133,6 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
         scale = q.shape[-1] ** -0.5
     scale = float(scale)
 
-    if not fusion_enabled():
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        if mask is not None:
-            scores = masked_fill(scores,
-                                 np.broadcast_to(mask, scores.shape))
-        weights = softmax(scores, axis=-1)
-        if dropout_mask is not None:
-            weights = weights * Tensor._wrap(np.asarray(dropout_mask))
-        return weights @ v
-
     qd, kd, vd = q.data, k.data, v.data
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -241,25 +172,9 @@ def multi_head_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
     """
     x = as_tensor(x)
     params = [as_tensor(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo)]
-    wq, bq, wk, bk, wv, bv, wo, bo = params
-    batch, length, dim = x.shape
-    head_dim = dim // num_heads
     if scale is None:
-        scale = head_dim ** -0.5
+        scale = (x.shape[-1] // num_heads) ** -0.5
     scale = float(scale)
-
-    def split(t: Tensor) -> Tensor:
-        return t.reshape(batch, length, num_heads, head_dim) \
-                .transpose(0, 2, 1, 3)
-
-    if not fusion_enabled():
-        q = split(linear(x, wq, bq))
-        k = split(linear(x, wk, bk))
-        v = split(linear(x, wv, bv))
-        context = scaled_dot_product_attention(
-            q, k, v, mask=mask, scale=scale, dropout_mask=dropout_mask)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, length, dim)
-        return linear(context, wo, bo)
 
     xd = x.data
     if mask is not None:
@@ -435,24 +350,6 @@ def transformer_block(x: Tensor, params: dict, num_heads: int, eps: float,
     p = {name: as_tensor(params[name]) for name in order}
     eps2 = eps if eps2 is None else eps2
 
-    if not fusion_enabled():
-        # Escape hatch: the same layer as the multi-node composition
-        # (each sibling op dispatches its own unfused branch here).
-        h = layer_norm(x, p["ln1_g"], p["ln1_b"], eps=eps)
-        attn = multi_head_attention(
-            h, p["wq"], p["bq"], p["wk"], p["bk"], p["wv"], p["bv"],
-            p["wo"], p["bo"], num_heads=num_heads, mask=mask,
-            dropout_mask=attn_dropout_mask)
-        if out1_dropout_mask is not None:
-            attn = attn * Tensor._wrap(out1_dropout_mask)
-        y = x + attn
-        h2 = layer_norm(y, p["ln2_g"], p["ln2_b"], eps=eps2)
-        ffn = feed_forward(h2, p["w1"], p["b1"], p["w2"], p["b2"],
-                           dropout_mask=ffn_dropout_mask)
-        if out2_dropout_mask is not None:
-            ffn = ffn * Tensor._wrap(out2_dropout_mask)
-        return y + ffn
-
     xd = x.data
     scale = (xd.shape[-1] // num_heads) ** -0.5
     if mask is not None:
@@ -521,9 +418,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray,
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets)
-    if not fusion_enabled():
-        return cross_entropy(logits, targets, ignore_index=ignore_index)
-
     data = logits.data
     flat = data.reshape(-1, data.shape[-1])
     idx = targets.reshape(-1)
@@ -578,12 +472,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """
     x, weight = as_tensor(x), as_tensor(weight)
     bias = as_tensor(bias) if bias is not None else None
-    if not fusion_enabled():
-        out = x @ weight
-        if bias is not None:
-            out = out + bias
-        return out
-
     xd, wd = x.data, weight.data
     out = xd @ wd
     if bias is not None:
@@ -616,12 +504,6 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     in keeps the RNG stream identical to the unfused composition.
     """
     x = as_tensor(x)
-    if not fusion_enabled():
-        hidden = gelu(linear(x, w1, b1))
-        if dropout_mask is not None:
-            hidden = hidden * Tensor._wrap(dropout_mask)
-        return linear(hidden, w2, b2)
-
     w1, b1, w2, b2 = (as_tensor(t) for t in (w1, b1, w2, b2))
     xd = x.data
     out, pre, cdf, hidden = _gelu_ffn_forward(xd, w1.data, b1.data,
@@ -653,9 +535,6 @@ def info_nce(scores: Tensor, positive_mask: np.ndarray,
     in one step instead of the ~10-node masked-exp-sum-log chain.
     """
     scores = as_tensor(scores)
-    if not fusion_enabled():
-        return _ops.info_nce(scores, positive_mask, candidate_mask)
-
     positive_mask = np.asarray(positive_mask, dtype=bool)
     if candidate_mask is None:
         candidate_mask = np.ones_like(positive_mask)
@@ -711,13 +590,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if not fusion_enabled():
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * ((var + eps) ** -0.5)
-        return normed * gamma + beta
-
     gd = gamma.data
     out, xhat, inv_std = _ln_forward(x.data, gd, beta.data, eps)
     if not (is_grad_enabled() and (x.requires_grad or gamma.requires_grad

@@ -279,9 +279,7 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Layer normalization over the last axis.
 
-    Runs through the fused one-node kernel
-    (:func:`repro.nn.fused.layer_norm`); ``REPRO_FUSED=0`` restores the
-    unfused mean/var/scale composition.
+    Runs as the fused one-node kernel :func:`repro.nn.fused.layer_norm`.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5, dtype=None):
@@ -334,8 +332,7 @@ class FeedForward(Module):
     """Transformer position-wise feed-forward block with GELU.
 
     The whole chain — linear, exact GELU, inverted dropout, linear —
-    runs as one fused graph node (:func:`repro.nn.fused.feed_forward`);
-    ``REPRO_FUSED=0`` restores the four-op composition.
+    runs as one fused graph node (:func:`repro.nn.fused.feed_forward`).
     """
 
     def __init__(self, dim: int, hidden_dim: int, dropout: float = 0.0,

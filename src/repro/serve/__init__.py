@@ -6,9 +6,9 @@ protocol (PMMRec and every sequential baseline) into an online service:
 * :mod:`~repro.serve.scoring` — the batch-scoring kernel shared with
   offline evaluation (one hot path for tables and traffic);
 * :class:`CatalogIndex` — precomputed, versioned item representations;
-* :mod:`~repro.serve.ann` — approximate retrieval (:class:`IVFIndex` /
-  :class:`LSHIndex` behind the :class:`AnnIndex` protocol) with exact
-  fallback, rebuilt incrementally on index refresh;
+* :mod:`~repro.serve.ann` — approximate retrieval (:class:`IVFIndex`,
+  k-means cells with an ``nprobe`` scan) with exact fallback, rebuilt
+  incrementally on index refresh;
 * :class:`Recommender` — ``recommend(history, k)`` with argpartition
   top-k, seen-item exclusion and ANN/exact retrieval routing;
 * :class:`MicroBatcher` — size/timeout request coalescing + LRU cache;
@@ -21,8 +21,7 @@ protocol (PMMRec and every sequential baseline) into an online service:
 See ``docs/serving.md`` for the architecture and the endpoint contract.
 """
 
-from .ann import (ANN_KINDS, AnnIndex, AnnSearch, IVFIndex, LSHIndex,
-                  make_ann_index)
+from .ann import ANN_KINDS, AnnSearch, IVFIndex, make_ann_index
 from .batcher import BatcherStats, BatcherTable, LRUCache, MicroBatcher
 from .bench import (BenchReport, KeepAliveClient, RetrievalReport,
                     bench_full_sort_path, bench_pool_scaling,
@@ -43,8 +42,7 @@ __all__ = [
     "score_batch", "encode_queries", "batch_scorer", "supports_kernel",
     "model_max_len",
     "CatalogIndex", "FrozenCatalogIndex",
-    "ANN_KINDS", "AnnIndex", "AnnSearch", "IVFIndex", "LSHIndex",
-    "make_ann_index",
+    "ANN_KINDS", "AnnSearch", "IVFIndex", "make_ann_index",
     "Recommendation", "Recommender", "RetrievalStats",
     "MicroBatcher", "LRUCache", "BatcherStats", "BatcherTable",
     "ModelRegistry", "Scenario", "ScenarioSpec", "build_model",

@@ -3,28 +3,20 @@
 Exact serving scores every request against the whole catalogue —
 ``O(n·d)`` per query plus a top-k over ``n`` — which stops fitting the
 latency budget as the catalogue grows to NineRec scale. This module
-provides the approximate layer: an :class:`AnnIndex` maps a user query
+provides the approximate layer: an :class:`IVFIndex` maps a user query
 vector (the encoder's final hidden state, see
 :func:`repro.eval.scoring.encode_queries`) to a *candidate shortlist*
 of item ids; the recommender then scores only the shortlist exactly and
 re-ranks, so the answer is always genuine model scores — approximation
 affects which items are considered, never how they are ranked.
 
-Two interchangeable backends implement the protocol:
-
-* :class:`IVFIndex` — an inverted-file index: k-means coarse quantizer
-  over the item embeddings, queries scan the ``nprobe`` most promising
-  clusters (ranked by query·centroid) and widen automatically when a
-  probe comes back short;
-* :class:`LSHIndex` — random-hyperplane sign codes; queries shortlist
-  the hamming-nearest items with an oversampling factor that buys
-  recall back from the binary quantization.
-
-Both rebuild *incrementally* on :meth:`CatalogIndex.refresh`: IVF
-warm-starts k-means from the previous centroids, LSH keeps its
-hyperplanes and only re-encodes. Every fit stamps the catalogue version
-it was built from, so stale structures are detectable and the
-recommender can fall back to exact scoring (see
+The index is an inverted file: a k-means coarse quantizer over the item
+embeddings, with queries scanning the ``nprobe`` most promising clusters
+(ranked by query·centroid) and widening automatically when a probe comes
+back short. It rebuilds *incrementally* on :meth:`CatalogIndex.refresh`
+by warm-starting k-means from the previous centroids. Every fit stamps
+the catalogue version it was built from, so stale structures are
+detectable and the recommender can fall back to exact scoring (see
 ``Recommender._retrieval_plan``) instead of serving low-recall answers.
 """
 
@@ -37,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import metrics
-from ..nn.cluster import hamming_distances, kmeans, sign_codes
+from ..nn.cluster import kmeans
 
-__all__ = ["AnnIndex", "AnnSearch", "IVFIndex", "LSHIndex",
-           "make_ann_index", "ANN_KINDS"]
+__all__ = ["AnnSearch", "IVFIndex", "make_ann_index", "ANN_KINDS"]
 
 #: CLI / registry spelling of the retrieval backends ("exact" means none).
-ANN_KINDS = ("exact", "ivf", "lsh")
+ANN_KINDS = ("exact", "ivf")
 
 
 @dataclass(frozen=True)
@@ -52,144 +43,8 @@ class _Fitted:
     was built from, swapped as a single reference so no reader can ever
     pair an old structure with a new version stamp (or vice versa)."""
 
-    state: object
+    state: _IVFState
     version: int
-
-
-class AnnIndex:
-    """Protocol base for approximate candidate generation.
-
-    Subclasses implement :meth:`_fit_state` and :meth:`_candidate_ids`.
-    Each fit publishes one immutable ``(state, version)`` record swapped
-    atomically on refit, so concurrent readers always see a coherent
-    index — structure and version stamp included — even while a refresh
-    is re-fitting.
-    """
-
-    kind: str = "none"
-
-    def __init__(self) -> None:
-        self._fitted: _Fitted | None = None
-
-    # -- protocol -----------------------------------------------------------
-
-    def fit(self, matrix: np.ndarray, version: int = 0) -> None:
-        """(Re)build from an ``encode_catalog`` matrix (row 0 = padding)."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] < 2:
-            raise ValueError("ANN index needs a (num_items+1, d) matrix "
-                             f"with at least one item, got {matrix.shape}")
-        tick = time.perf_counter()
-        previous = self._fitted
-        state = self._fit_state(matrix[1:],
-                                None if previous is None else previous.state)
-        self._fitted = _Fitted(state=state, version=int(version))
-        kind = type(self).__name__
-        metrics.counter("repro_serve_ann_fits_total",
-                        "ANN structure (re)builds",
-                        labels={"kind": kind}).inc()
-        metrics.histogram("repro_serve_ann_fit_seconds",
-                          "ANN structure build latency",
-                          labels={"kind": kind}
-                          ).observe(time.perf_counter() - tick)
-        metrics.gauge("repro_serve_ann_items", "items the ANN index covers",
-                      labels={"kind": kind}).set(matrix.shape[0] - 1)
-
-    def candidates(self, query: np.ndarray, count: int) -> np.ndarray:
-        """At least ``count`` candidate item ids for one query vector.
-
-        Ids are in ``[1, num_items]`` (the padding pseudo-item is never
-        a candidate) and returned ascending, so downstream tie-breaking
-        by lower item id matches the exact path's stable sort.
-        """
-        fitted = self._fitted
-        if fitted is None:
-            raise RuntimeError(f"{type(self).__name__} is not fitted")
-        return self._search(fitted.state, query, count)
-
-    def search_snapshot(self) -> "AnnSearch | None":
-        """An immutable search view over the *current* fitted state.
-
-        A concurrent :meth:`fit` swaps the fitted record atomically, so
-        a request that captured a view keeps shortlisting against the
-        structure built for the catalogue snapshot it is scoring —
-        never against a half-adopted newer one. ``None`` when unfitted.
-        """
-        fitted = self._fitted
-        if fitted is None:
-            return None
-        return AnnSearch(index=self, state=fitted.state,
-                         version=fitted.version)
-
-    def _search(self, state, query: np.ndarray, count: int) -> np.ndarray:
-        count = int(count)
-        if count < 1:
-            raise ValueError(f"count must be positive, got {count}")
-        n = state.num_items
-        if count >= n:
-            return np.arange(1, n + 1)
-        return self._candidate_ids(state, np.asarray(query), count)
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def fitted(self) -> bool:
-        return self._fitted is not None
-
-    @property
-    def fitted_version(self) -> int:
-        """Catalogue version the structure was last built from (0 = never)."""
-        fitted = self._fitted
-        return 0 if fitted is None else fitted.version
-
-    @property
-    def num_items(self) -> int:
-        fitted = self._fitted
-        return 0 if fitted is None else fitted.state.num_items
-
-    @property
-    def nbytes(self) -> int:
-        fitted = self._fitted
-        return 0 if fitted is None else fitted.state.nbytes
-
-    def describe(self) -> dict:
-        """JSON-serializable summary for ``/scenarios`` and the CLI."""
-        return {"kind": self.kind, "fitted_version": self.fitted_version,
-                "num_items": self.num_items, "nbytes": self.nbytes,
-                **self._params()}
-
-    def _params(self) -> dict:
-        return {}
-
-    # -- to be provided by subclasses ---------------------------------------
-
-    def _fit_state(self, items: np.ndarray, previous):
-        raise NotImplementedError
-
-    def _candidate_ids(self, state, query: np.ndarray,
-                       count: int) -> np.ndarray:
-        """Return >= ``count`` item ids, ascending (see :meth:`candidates`)."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"{type(self).__name__}(fitted_version={self.fitted_version}, "
-                f"num_items={self.num_items})")
-
-
-@dataclass(frozen=True)
-class AnnSearch:
-    """One index bound to one fitted state: safe across concurrent refits."""
-
-    index: AnnIndex
-    state: object
-    version: int
-
-    def candidates(self, query: np.ndarray, count: int) -> np.ndarray:
-        """Same contract as :meth:`AnnIndex.candidates`, pinned state."""
-        return self.index._search(self.state, query, count)
-
-
-# -- IVF ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -221,7 +76,7 @@ def default_nlist(num_items: int) -> int:
                        1, max(num_items // 8, 1)))
 
 
-class IVFIndex(AnnIndex):
+class IVFIndex:
     """Inverted-file index: k-means cells, ``nprobe``-controlled scan.
 
     ``nlist`` defaults to the ``4·sqrt(n)`` rule; ``nprobe`` to 1/32 of
@@ -231,24 +86,43 @@ class IVFIndex(AnnIndex):
     probe that yields fewer than the requested candidate count widens to
     further cells (in query-affinity order), so small or lopsided cells
     degrade to a broader scan instead of a short answer.
+
+    Each fit publishes one immutable ``(state, version)`` record swapped
+    atomically on refit, so concurrent readers always see a coherent
+    index — structure and version stamp included — even while a refresh
+    is re-fitting.
     """
 
     kind = "ivf"
 
     def __init__(self, nlist: int | None = None, nprobe: int | None = None,
                  iters: int = 10, refresh_iters: int = 3, seed: int = 0):
-        super().__init__()
         self.nlist = nlist
         self.nprobe = nprobe
         self.iters = iters
         self.refresh_iters = refresh_iters
         self.seed = seed
+        self._fitted: _Fitted | None = None
 
-    def _fit_state(self, items: np.ndarray, previous) -> _IVFState:
+    # -- building -----------------------------------------------------------
+
+    def fit(self, matrix: np.ndarray, version: int = 0) -> None:
+        """(Re)build from an ``encode_catalog`` matrix (row 0 = padding).
+
+        A refit warm-starts k-means from the previous centroids and runs
+        ``refresh_iters`` instead of ``iters`` Lloyd iterations.
+        """
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[0] < 2:
+            raise ValueError("ANN index needs a (num_items+1, d) matrix "
+                             f"with at least one item, got {matrix.shape}")
+        tick = time.perf_counter()
+        items = matrix[1:]
         nlist = (self.nlist if self.nlist is not None
                  else default_nlist(len(items)))
         nlist = max(1, min(int(nlist), len(items)))
-        init = previous.centroids if isinstance(previous, _IVFState) else None
+        previous = self._fitted
+        init = None if previous is None else previous.state.centroids
         iters = self.iters if init is None else self.refresh_iters
         centroids, assign = kmeans(items, nlist, iters=iters, seed=self.seed,
                                    init=init)
@@ -256,17 +130,62 @@ class IVFIndex(AnnIndex):
         member_ids = (order + 1).astype(np.int64)    # row i = item id i+1
         counts = np.bincount(assign, minlength=len(centroids))
         starts = np.concatenate([[0], np.cumsum(counts)])
-        return _IVFState(centroids=centroids, member_ids=member_ids,
-                         starts=starts)
+        self._fitted = _Fitted(
+            state=_IVFState(centroids=centroids, member_ids=member_ids,
+                            starts=starts),
+            version=int(version))
+        kind = type(self).__name__
+        metrics.counter("repro_serve_ann_fits_total",
+                        "ANN structure (re)builds",
+                        labels={"kind": kind}).inc()
+        metrics.histogram("repro_serve_ann_fit_seconds",
+                          "ANN structure build latency",
+                          labels={"kind": kind}
+                          ).observe(time.perf_counter() - tick)
+        metrics.gauge("repro_serve_ann_items", "items the ANN index covers",
+                      labels={"kind": kind}).set(matrix.shape[0] - 1)
+
+    # -- search -------------------------------------------------------------
+
+    def candidates(self, query: np.ndarray, count: int) -> np.ndarray:
+        """At least ``count`` candidate item ids for one query vector.
+
+        Ids are in ``[1, num_items]`` (the padding pseudo-item is never
+        a candidate) and returned ascending, so downstream tie-breaking
+        by lower item id matches the exact path's stable sort.
+        """
+        fitted = self._fitted
+        if fitted is None:
+            raise RuntimeError(f"{type(self).__name__} is not fitted")
+        return self._search(fitted.state, query, count)
+
+    def search_snapshot(self) -> "AnnSearch | None":
+        """An immutable search view over the *current* fitted state.
+
+        A concurrent :meth:`fit` swaps the fitted record atomically, so
+        a request that captured a view keeps shortlisting against the
+        structure built for the catalogue snapshot it is scoring —
+        never against a half-adopted newer one. ``None`` when unfitted.
+        """
+        fitted = self._fitted
+        if fitted is None:
+            return None
+        return AnnSearch(index=self, state=fitted.state,
+                         version=fitted.version)
 
     def _probe_count(self, nlist: int) -> int:
         if self.nprobe is not None:
             return max(1, min(int(self.nprobe), nlist))
         return min(nlist, max(4, int(math.ceil(nlist / 32))))
 
-    def _candidate_ids(self, state: _IVFState, query: np.ndarray,
-                       count: int) -> np.ndarray:
-        affinity = state.centroids @ query
+    def _search(self, state: _IVFState, query: np.ndarray,
+                count: int) -> np.ndarray:
+        count = int(count)
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        if count >= state.num_items:
+            return np.arange(1, state.num_items + 1)
+        affinity = state.centroids @ np.asarray(query)
         nlist = len(affinity)
         nprobe = self._probe_count(nlist)
         # argpartition, not argsort: probe membership is all that
@@ -295,89 +214,62 @@ class IVFIndex(AnnIndex):
                 total += len(chunk)
         return np.sort(np.concatenate(chunks))
 
-    def _params(self) -> dict:
+    # -- introspection ------------------------------------------------------
+
+    @property
+    def fitted(self) -> bool:
+        return self._fitted is not None
+
+    @property
+    def fitted_version(self) -> int:
+        """Catalogue version the structure was last built from (0 = never)."""
         fitted = self._fitted
-        if fitted is None:
-            return {"nlist": self.nlist, "nprobe": self.nprobe}
-        nlist = len(fitted.state.centroids)
-        return {"nlist": nlist, "nprobe": self._probe_count(nlist)}
-
-
-# -- LSH ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _LSHState:
-    """One fitted LSH structure: hyperplanes + packed item codes."""
-
-    hyperplanes: np.ndarray    # (d, bits)
-    codes: np.ndarray          # (n, ceil(bits/8)) uint8
+        return 0 if fitted is None else fitted.version
 
     @property
     def num_items(self) -> int:
-        return len(self.codes)
+        fitted = self._fitted
+        return 0 if fitted is None else fitted.state.num_items
 
     @property
     def nbytes(self) -> int:
-        return self.hyperplanes.nbytes + self.codes.nbytes
+        fitted = self._fitted
+        return 0 if fitted is None else fitted.state.nbytes
 
-
-class LSHIndex(AnnIndex):
-    """Random-hyperplane LSH: shortlist by hamming distance, re-rank exact.
-
-    ``bits`` controls code fidelity; ``oversample`` multiplies the
-    requested candidate count (with an absolute ``min_candidates``
-    floor) before the hamming shortlist, which is what recovers recall
-    lost to binary quantization. Hyperplanes are drawn once per index
-    lifetime, so an online refresh only re-encodes the item codes and
-    codes stay comparable across versions.
-    """
-
-    kind = "lsh"
-
-    def __init__(self, bits: int = 128, oversample: int = 16,
-                 min_candidates: int = 256, seed: int = 0):
-        super().__init__()
-        if bits < 8:
-            raise ValueError(f"bits must be >= 8, got {bits}")
-        self.bits = int(bits)
-        self.oversample = max(1, int(oversample))
-        self.min_candidates = max(1, int(min_candidates))
-        self.seed = seed
-
-    def _fit_state(self, items: np.ndarray, previous) -> _LSHState:
-        if (isinstance(previous, _LSHState)
-                and previous.hyperplanes.shape[0] == items.shape[1]):
-            hyperplanes = previous.hyperplanes
+    def describe(self) -> dict:
+        """JSON-serializable summary for ``/scenarios`` and the CLI."""
+        fitted = self._fitted
+        if fitted is None:
+            nlist, nprobe = self.nlist, self.nprobe
         else:
-            rng = np.random.default_rng(self.seed)
-            hyperplanes = rng.normal(
-                size=(items.shape[1], self.bits)).astype(items.dtype,
-                                                         copy=False)
-        return _LSHState(hyperplanes=hyperplanes,
-                         codes=sign_codes(items, hyperplanes))
+            nlist = len(fitted.state.centroids)
+            nprobe = self._probe_count(nlist)
+        return {"kind": self.kind, "fitted_version": self.fitted_version,
+                "num_items": self.num_items, "nbytes": self.nbytes,
+                "nlist": nlist, "nprobe": nprobe}
 
-    def _candidate_ids(self, state: _LSHState, query: np.ndarray,
-                       count: int) -> np.ndarray:
-        shortlist = min(state.num_items,
-                        max(count * self.oversample, self.min_candidates,
-                            count))
-        query_code = sign_codes(query, state.hyperplanes)[0]
-        distances = hamming_distances(state.codes, query_code)
-        if shortlist >= state.num_items:
-            return np.arange(1, state.num_items + 1)
-        return np.sort(np.argpartition(distances, shortlist - 1)[:shortlist]
-                       + 1)
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"{type(self).__name__}(fitted_version={self.fitted_version}, "
+                f"num_items={self.num_items})")
 
-    def _params(self) -> dict:
-        return {"bits": self.bits, "oversample": self.oversample,
-                "min_candidates": self.min_candidates}
+
+@dataclass(frozen=True)
+class AnnSearch:
+    """One index bound to one fitted state: safe across concurrent refits."""
+
+    index: IVFIndex
+    state: _IVFState
+    version: int
+
+    def candidates(self, query: np.ndarray, count: int) -> np.ndarray:
+        """Same contract as :meth:`IVFIndex.candidates`, pinned state."""
+        return self.index._search(self.state, query, count)
 
 
 # -- factory -----------------------------------------------------------------
 
 
-def make_ann_index(kind: str | None, **params) -> AnnIndex | None:
+def make_ann_index(kind: str | None, **params) -> IVFIndex | None:
     """Build a backend by CLI name; ``exact``/``none``/``None`` mean none.
 
     ``params`` are forwarded to the backend constructor with ``None``
@@ -388,11 +280,8 @@ def make_ann_index(kind: str | None, **params) -> AnnIndex | None:
     lowered = kind.lower()
     if lowered in ("exact", "none", ""):
         return None
-    kwargs = {name: value for name, value in params.items()
-              if value is not None}
-    if lowered == "ivf":
-        return IVFIndex(**kwargs)
-    if lowered == "lsh":
-        return LSHIndex(**kwargs)
-    raise ValueError(f"unknown retrieval backend {kind!r}; "
-                     f"choose from {ANN_KINDS}")
+    if lowered != "ivf":
+        raise ValueError(f"unknown retrieval backend {kind!r}; "
+                         f"choose from {ANN_KINDS}")
+    return IVFIndex(**{name: value for name, value in params.items()
+                       if value is not None})

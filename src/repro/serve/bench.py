@@ -16,7 +16,7 @@ import numpy as np
 
 from ..nn.ops import topk
 from ..obs import metrics
-from .ann import AnnIndex
+from .ann import IVFIndex
 from .recommender import Recommender
 
 __all__ = ["BenchReport", "bench_topk_path", "bench_full_sort_path",
@@ -175,7 +175,7 @@ def compare_paths(recommender: Recommender, histories: list[np.ndarray],
             "throughput_speedup": speedup, "stages": stages}
 
 
-# -- retrieval-layer benchmark (exact vs IVF vs LSH) -------------------------
+# -- retrieval-layer benchmark (exact vs IVF) --------------------------------
 
 
 @dataclass
@@ -242,14 +242,14 @@ def _exact_top_ids(catalog: np.ndarray, query: np.ndarray,
 
 
 def bench_retrieval(catalog: np.ndarray, queries: np.ndarray, k: int,
-                    backends: dict[str, AnnIndex | None]) -> list[RetrievalReport]:
+                    backends: dict[str, IVFIndex | None]) -> list[RetrievalReport]:
     """Measure recall@k and per-query QPS for each retrieval backend.
 
-    ``backends`` maps a display name to an :class:`AnnIndex` (fitted
+    ``backends`` maps a display name to an :class:`IVFIndex` (fitted
     here, build time reported) or ``None`` for the exact reference.
     Every backend answers the same queries; recall@k counts overlap with
-    the exact top-k. ANN timings include the full serving work — code
-    lookup, candidate gather, exact re-rank — not just the probe.
+    the exact top-k. ANN timings include the full serving work — cell
+    probe, candidate gather, exact re-rank — not just the probe.
     """
     truth = [set(_exact_top_ids(catalog, q, k).tolist()) for q in queries]
     reports = []

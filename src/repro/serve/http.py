@@ -45,11 +45,13 @@ Endpoint contract (all bodies JSON):
     (``{"version": int, "kind": "full"|"catalog", "latency_ms": ...}``)
 
 Errors come back as ``{"error": <message>}`` with status 400 (bad
-request), 404 (unknown route/scenario) or 500 — the same on every
-serving tier, since one service validates every request. Unexpected
-failures additionally carry ``"error_type"`` (the exception class) and
-the full traceback is logged server-side — the client gets a
-well-formed JSON 500, never a hung connection or a silent swallow.
+request), 404 (unknown route/scenario), 413 (a body over
+:data:`MAX_BODY_BYTES`, answered without reading it, after which the
+connection is closed) or 500 — the same on every serving tier, since one
+service validates every request. Unexpected failures additionally carry
+``"error_type"`` (the exception class) and the full traceback is logged
+server-side — the client gets a well-formed JSON 500, never a hung
+connection or a silent swallow.
 """
 
 from __future__ import annotations
@@ -65,7 +67,12 @@ from urllib.parse import parse_qs
 from ..obs import metrics, trace
 from .service import RecommendationService
 
-__all__ = ["RecommendationServer", "make_server", "serve_forever"]
+__all__ = ["RecommendationServer", "make_server", "serve_forever",
+           "MAX_BODY_BYTES"]
+
+#: Largest request body read, in bytes. The repo's own clients stay far
+#: below it: an event wave with a cold item's 16x16x3 image is ~17 KB.
+MAX_BODY_BYTES = 8 * 2**20
 
 #: Routes counted individually on ``repro_http_requests_total``; anything
 #: else collapses into ``other`` so label cardinality stays bounded no
@@ -73,6 +80,10 @@ __all__ = ["RecommendationServer", "make_server", "serve_forever"]
 _KNOWN_ROUTES = frozenset({"/health", "/alerts", "/timeline", "/scenarios",
                            "/stats", "/metrics",
                            "/recommend", "/refresh", "/events", "/swap"})
+
+
+class _BodyTooLarge(ValueError):
+    """A declared ``Content-Length`` over :data:`MAX_BODY_BYTES`."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -103,6 +114,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -131,6 +144,9 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         if length <= 0:
             raise ValueError("request body required")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         try:
             payload = json.loads(self.rfile.read(length))
         except json.JSONDecodeError as exc:
@@ -252,6 +268,11 @@ class _Handler(BaseHTTPRequestHandler):
         t_request = time.perf_counter()
         try:
             payload = self._read_json()
+        except _BodyTooLarge as exc:
+            # The body stays unread, so the connection cannot carry
+            # another request: its bytes would parse as the next one.
+            self.close_connection = True
+            return self._error(str(exc), 413)
         except ValueError as exc:
             return self._error(str(exc), 400)
         t_parsed = time.perf_counter()

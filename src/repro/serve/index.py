@@ -7,11 +7,11 @@ index is *versioned* — ``refresh()`` republishes the matrix and bumps
 the version, and downstream caches (e.g. the micro-batcher's LRU) key
 on the version so stale entries miss naturally after a model update.
 
-An optional :class:`~repro.serve.ann.AnnIndex` can be attached; it is
-refit inside every ``refresh()`` (incrementally — IVF warm-starts from
-the previous centroids, LSH only re-encodes) and stamped with the
-version of the matrix it was built from, so consumers can tell a
-current ANN structure from a stale one.
+An optional :class:`~repro.serve.ann.IVFIndex` can be attached; it is
+refit inside every ``refresh()`` (incrementally, warm-starting k-means
+from the previous centroids) and stamped with the version of the matrix
+it was built from, so consumers can tell a current ANN structure from a
+stale one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import threading
 
 import numpy as np
 
-from .ann import AnnIndex, AnnSearch
+from .ann import AnnSearch, IVFIndex
 
 __all__ = ["CatalogIndex", "FrozenCatalogIndex"]
 
@@ -36,7 +36,7 @@ class CatalogIndex:
     """
 
     def __init__(self, model, dataset, dtype=None, chunk_size: int = 256,
-                 ann: AnnIndex | None = None, start_version: int = 0):
+                 ann: IVFIndex | None = None, start_version: int = 0):
         if not hasattr(model, "encode_catalog"):
             raise TypeError(
                 f"{type(model).__name__} does not expose encode_catalog, "
@@ -82,7 +82,7 @@ class CatalogIndex:
         return self._stale or self._matrix is None
 
     @property
-    def ann(self) -> AnnIndex | None:
+    def ann(self) -> IVFIndex | None:
         """The attached approximate-retrieval structure, if any."""
         return self._ann
 
@@ -99,7 +99,7 @@ class CatalogIndex:
             self._stale = True
             self._stale_epoch += 1
 
-    def attach_ann(self, ann: AnnIndex | None) -> None:
+    def attach_ann(self, ann: IVFIndex | None) -> None:
         """Attach (or detach, with ``None``) the ANN structure.
 
         When a matrix is already published the structure is fitted to it
@@ -277,7 +277,7 @@ class FrozenCatalogIndex:
         self._version = int(version)
         self._num_items = (int(num_items) if num_items is not None
                            else matrix.shape[0] - 1)
-        self._ann: AnnIndex | None = None
+        self._ann: IVFIndex | None = None
 
     # -- state ---------------------------------------------------------------
 
@@ -298,7 +298,7 @@ class FrozenCatalogIndex:
         return False
 
     @property
-    def ann(self) -> AnnIndex | None:
+    def ann(self) -> IVFIndex | None:
         return self._ann
 
     @property
@@ -313,11 +313,11 @@ class FrozenCatalogIndex:
         raise RuntimeError("FrozenCatalogIndex cannot rebuild; publish a "
                            "new generation through the pool fence instead")
 
-    def attach_ann(self, ann: AnnIndex | None) -> None:
+    def attach_ann(self, ann: IVFIndex | None) -> None:
         """Attach and immediately fit an ANN structure to the frozen matrix.
 
         Fitting is per-worker duplicated work (each process builds its
-        own centroids/tables over the shared matrix), which is the price
+        own centroids over the shared matrix), which is the price
         of keeping ANN structures plain process-local objects.
         """
         self._ann = ann

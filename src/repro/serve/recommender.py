@@ -6,8 +6,8 @@ mask out the padding item and (optionally) everything the user has
 already seen, and return the top-k via the argpartition-backed
 :func:`repro.nn.ops.topk` instead of a full-catalogue sort.
 
-With ``retrieval="ivf"`` or ``"lsh"`` the top-k is routed through an
-approximate index (:mod:`repro.serve.ann`): the user's query vector
+With ``retrieval="ivf"`` the top-k is routed through an approximate
+index (:mod:`repro.serve.ann`): the user's query vector
 shortlists candidates, only the shortlist is scored exactly, and the
 answer is re-ranked genuine model scores. The recommender falls back to
 exact full-catalogue scoring whenever approximate recall would be
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..nn.ops import topk
 from ..obs import metrics, trace
-from .ann import AnnIndex, make_ann_index
+from .ann import ANN_KINDS, IVFIndex, make_ann_index
 from .index import CatalogIndex
 from .scoring import (encode_queries, model_max_len, score_batch,
                       supports_kernel)
@@ -123,10 +123,12 @@ class Recommender:
     put in eval mode once at construction so the request path never
     touches training state.
 
-    ``retrieval`` selects the top-k backend: ``"exact"`` (default) or an
-    ANN kind from :data:`repro.serve.ann.ANN_KINDS`; ``ann_params`` are
-    forwarded to the backend constructor (``nlist``, ``nprobe``,
-    ``bits``, ...). ``min_ann_items`` is the catalogue-size floor below
+    ``retrieval`` selects the top-k backend, one of
+    :data:`repro.serve.ann.ANN_KINDS` (case-insensitive): ``"exact"``
+    (default) or ``"ivf"``; any other name is a ``ValueError`` for every
+    model, including those that never consult an index. ``ann_params``
+    are forwarded to the :class:`IVFIndex` constructor (``nlist``,
+    ``nprobe``, ...). ``min_ann_items`` is the catalogue-size floor below
     which the ANN path is never taken.
     """
 
@@ -137,9 +139,10 @@ class Recommender:
         self.model = model
         self.dataset = dataset
         self.exclude_seen = exclude_seen
-        # Normalized so routing's kind comparison can never disagree
-        # with the case-insensitive make_ann_index factory.
         self.retrieval = (retrieval or "exact").lower()
+        if self.retrieval not in ANN_KINDS:
+            raise ValueError(f"unknown retrieval backend {retrieval!r}; "
+                             f"choose from {ANN_KINDS}")
         self.min_ann_items = min_ann_items
         self.retrieval_stats = RetrievalStats()
         if hasattr(model, "eval"):
@@ -152,19 +155,15 @@ class Recommender:
         # Only kernel-capable indexed models can form the query vectors
         # ANN retrieval shortlists with; for anything else the structure
         # would never be consulted, so don't pay its build cost. A
-        # structure already attached to a shared index is reused only
-        # when it matches the configured backend and the caller supplied
-        # no explicit knobs — otherwise this recommender's configuration
-        # wins and the index is re-attached (stats must never report one
-        # backend while routing through another).
-        if index is not None and self._use_kernel:
-            wanted = make_ann_index(retrieval, **(ann_params or {}))
-            if wanted is not None and (index.ann is None or ann_params
-                                       or index.ann.kind != wanted.kind):
-                index.attach_ann(wanted)
+        # structure already attached to a shared index is reused unless
+        # the caller supplied explicit knobs, which then win.
+        if (index is not None and self._use_kernel
+                and self.retrieval == "ivf"
+                and (index.ann is None or ann_params)):
+            index.attach_ann(make_ann_index("ivf", **(ann_params or {})))
 
     @property
-    def ann(self) -> AnnIndex | None:
+    def ann(self) -> IVFIndex | None:
         """The attached approximate-retrieval structure, if any."""
         return None if self.index is None else self.index.ann
 
@@ -240,14 +239,6 @@ class Recommender:
             return False, None
         if self.index is None or not self._use_kernel:
             return False, "no_kernel"
-        ann = self.index.ann
-        if ann is None:                  # backend resolved to exact/none
-            return False, None
-        if ann.kind != self.retrieval:
-            # A sibling recommender re-attached its own backend to the
-            # shared index; routing through it would make this
-            # recommender's stats a lie, so score exactly and say why.
-            return False, "backend_mismatch"
         num_items = self.index.num_items
         if num_items < self.min_ann_items:
             return False, "small_catalog"
@@ -266,17 +257,11 @@ class Recommender:
         only its shortlist, so per-row work is ``O(|shortlist|·d)``
         instead of ``O(n·d)``. Candidates arrive id-ascending from the
         index, so the stable top-k tie-break (lower item id wins) is the
-        same one the exact path applies. The backend kind is re-checked
-        against the snapshot actually taken: a sibling recommender can
-        swap the shared index's structure between the plan check and
-        here, and routing through it would falsify this recommender's
-        stats.
+        same one the exact path applies.
         """
         matrix, version, ann = self.index.snapshot_retrieval()
         if ann is None:
             return None, "stale_index"
-        if ann.index.kind != self.retrieval:
-            return None, "backend_mismatch"
         ctx = trace.current()
         tick = perf_counter()
         queries = encode_queries(self.model, matrix, histories,

@@ -14,7 +14,6 @@ metrics are recorded so Figure 3's convergence curves fall out for free.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ class TrainConfig:
     metric: str = "hr@10"       # early-stopping criterion
     warmup_frac: float = 0.0    # >0 enables a warmup+cosine LR schedule
     dtype: str | None = None    # "float32"/"float64": cast the model up front
-    fused: bool | None = None   # force fused kernels on/off; None = REPRO_FUSED
     seed: int = 0
     verbose: bool = False
 
@@ -87,18 +85,6 @@ class Trainer:
                 warmup_steps=int(self.config.warmup_frac * total),
                 total_steps=total)
 
-    def _fusion_scope(self):
-        """Fused-kernel override for this run (no-op when ``fused`` unset).
-
-        ``TrainConfig(fused=...)`` pins the training loop to the fused or
-        unfused autograd path regardless of the ambient ``REPRO_FUSED``
-        setting — the escape hatch for A/B-ing a training run against the
-        multi-node composition.
-        """
-        if self.config.fused is None:
-            return contextlib.nullcontext()
-        return nn.use_fused(self.config.fused)
-
     def train_step(self, item_ids: np.ndarray, mask: np.ndarray) -> float:
         """One optimizer step on an already-padded batch; returns the loss.
 
@@ -112,20 +98,18 @@ class Trainer:
         cfg = self.config
         if not getattr(self.model, "training", True):
             self.model.train()
-        with self._fusion_scope():
-            self.optimizer.zero_grad()
-            with prof.section("train.forward"):
-                loss, _ = self.model.training_loss(
-                    self.dataset, item_ids, mask,
-                    pretraining=self.pretraining)
-            with prof.section("train.backward"):
-                loss.backward()
-            with prof.section("train.clip"):
-                nn.clip_grad_norm(self.optimizer.parameters, cfg.clip_norm)
-            with prof.section("train.optimizer_step"):
-                self.optimizer.step()
-            if self.schedule is not None:
-                self.schedule.step()
+        self.optimizer.zero_grad()
+        with prof.section("train.forward"):
+            loss, _ = self.model.training_loss(
+                self.dataset, item_ids, mask, pretraining=self.pretraining)
+        with prof.section("train.backward"):
+            loss.backward()
+        with prof.section("train.clip"):
+            nn.clip_grad_norm(self.optimizer.parameters, cfg.clip_norm)
+        with prof.section("train.optimizer_step"):
+            self.optimizer.step()
+        if self.schedule is not None:
+            self.schedule.step()
         return float(loss.data)
 
     def _run_epoch(self) -> float:
@@ -141,9 +125,8 @@ class Trainer:
 
     def validate(self) -> dict[str, float]:
         """Metrics on the validation split (ks limited to 10 for speed)."""
-        with self._fusion_scope():
-            return evaluate_model(self.model, self.dataset,
-                                  self.dataset.split.valid, ks=(10,))
+        return evaluate_model(self.model, self.dataset,
+                              self.dataset.split.valid, ks=(10,))
 
     def fit(self) -> TrainResult:
         """Train until ``epochs`` or early stopping; restore the best state."""

@@ -30,6 +30,8 @@ from repro.eval.scoring import (encode_queries, model_max_len, score_batch,
                                 supports_kernel)
 from repro.nn.tensor import Tensor, no_grad
 
+from ..nn.unfused import unfused
+
 KERNEL_BASELINES = [name for name in BASELINE_NAMES]
 
 
@@ -106,19 +108,16 @@ def test_kernel_parity_fused_vs_unfused_ranks(name, dataset, histories):
     The fused one-node attention/LayerNorm forward mirrors the unfused
     composition's floating-point op order exactly, so the scoring kernel
     must produce bit-identical scores — and therefore identical ranks —
-    with fusion on and off (the ``REPRO_FUSED`` escape hatch).
+    on the fused kernels and inside the unfused parity oracle.
     """
-    from repro.nn import use_fused
-
     model = _build(name, dataset)
     model.eval()
     if not supports_kernel(model):
         pytest.skip(f"{name} opts out of the scoring kernel")
     usable = [h[-model_max_len(model):] for h in histories]
-    with use_fused(True):
-        catalog_f = model.encode_catalog(dataset)
-        fused_scores = score_batch(model, catalog_f, usable)
-    with use_fused(False):
+    catalog_f = model.encode_catalog(dataset)
+    fused_scores = score_batch(model, catalog_f, usable)
+    with unfused():
         catalog_u = model.encode_catalog(dataset)
         unfused_scores = score_batch(model, catalog_u, usable)
     np.testing.assert_array_equal(catalog_f, catalog_u)

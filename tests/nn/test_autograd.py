@@ -55,27 +55,6 @@ def test_no_grad_is_thread_local():
         thread.join(timeout=30)
 
 
-def test_use_fused_is_thread_local():
-    import threading
-    entered = threading.Event()
-    release = threading.Event()
-    ambient = nn.fusion_enabled()
-
-    def pinner():
-        with nn.use_fused(not ambient):
-            entered.set()
-            release.wait(timeout=30)
-
-    thread = threading.Thread(target=pinner, daemon=True)
-    thread.start()
-    assert entered.wait(timeout=30)
-    try:
-        assert nn.fusion_enabled() == ambient
-    finally:
-        release.set()
-        thread.join(timeout=30)
-
-
 @pytest.mark.parametrize("shape", SHAPES)
 def test_add_grad(shape, rng):
     x = rng.normal(size=shape)

@@ -1,8 +1,8 @@
 """Parity suite for the fused autograd kernels (``repro.nn.fused``).
 
 Every fused composite node is pinned against the unfused multi-node
-composition it replaced (the ``REPRO_FUSED=0`` escape hatch) from three
-directions:
+composition it replaced (the parity oracle in ``tests/nn/unfused.py``)
+from three directions:
 
 * **forward** — bit-for-bit identical output (the fused kernels mirror
   the unfused floating-point operation order exactly), in float64 and
@@ -14,8 +14,7 @@ directions:
   does not rest on the unfused path alone.
 
 Also locks down the supporting refactors: the lazy-unbroadcast engine,
-the dropout passthrough, the cached masks, and the ``REPRO_FUSED`` /
-``use_fused`` gate semantics.
+the dropout passthrough and the cached masks.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.nn import fused
 from repro.nn.tensor import Tensor
 
 from ..conftest import check_grad
 from .test_autograd_dtypes import check_grad_dtype
+from .unfused import kernel_path, unfused
 
 DTYPES = ["float64", "float32"]
 GRAD_TOLS = {"float64": dict(rtol=1e-9, atol=1e-11),
@@ -46,33 +45,11 @@ def _mask_cases(batch: int, length: int, rng):
             "fully-masked-row": fully_masked}
 
 
-# -- gate semantics ------------------------------------------------------------
-
-
-def test_fusion_enabled_defaults_on(monkeypatch):
-    monkeypatch.delenv("REPRO_FUSED", raising=False)
-    assert nn.fusion_enabled()
-
-
-def test_repro_fused_env_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSED", "0")
-    assert not nn.fusion_enabled()
-    monkeypatch.setenv("REPRO_FUSED", "1")
-    assert nn.fusion_enabled()
-
-
-def test_use_fused_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSED", "0")
-    with nn.use_fused(True):
-        assert nn.fusion_enabled()
-        with nn.use_fused(False):
-            assert not nn.fusion_enabled()
-        assert nn.fusion_enabled()
-    assert not nn.fusion_enabled()
+# -- the oracle is the composition ---------------------------------------------
 
 
 def test_transformer_block_op_honors_escape_hatch(rng):
-    """Calling the whole-layer op directly must respect use_fused(False)."""
+    """Calling the whole-layer op directly inside the oracle composes it."""
     blk = nn.TransformerBlock(8, 2, rng=np.random.default_rng(2))
     blk.eval()
     x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
@@ -84,23 +61,21 @@ def test_transformer_block_op_honors_escape_hatch(rng):
               "ln2_g": blk.norm2.gamma, "ln2_b": blk.norm2.beta,
               "w1": blk.ffn.fc1.weight, "b1": blk.ffn.fc1.bias,
               "w2": blk.ffn.fc2.weight, "b2": blk.ffn.fc2.bias}
-    with nn.use_fused(True):
-        fused_out = nn.transformer_block(x, params, num_heads=2, eps=1e-5)
-        assert len(fused_out._parents) == 17      # the one-node form
-    with nn.use_fused(False):
+    fused_out = nn.transformer_block(x, params, num_heads=2, eps=1e-5)
+    assert len(fused_out._parents) == 17      # the one-node form
+    with unfused():
         composed = nn.transformer_block(x, params, num_heads=2, eps=1e-5)
         assert len(composed._parents) != 17       # multi-node composition
     np.testing.assert_array_equal(fused_out.data, composed.data)
 
 
 def test_unfused_builds_composition_nodes(rng):
-    """The escape hatch really is the multi-node graph, not a re-label."""
+    """The oracle really is the multi-node graph, not a re-label."""
     x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
     gamma, beta = nn.Parameter(np.ones(8)), nn.Parameter(np.zeros(8))
-    with nn.use_fused(True):
-        one = nn.layer_norm(x, gamma, beta)
-        assert one._parents == (x, gamma, beta)
-    with nn.use_fused(False):
+    one = nn.layer_norm(x, gamma, beta)
+    assert one._parents == (x, gamma, beta)
+    with unfused():
         many = nn.layer_norm(x, gamma, beta)
         assert x not in many._parents      # composed through intermediates
 
@@ -109,7 +84,7 @@ def test_unfused_builds_composition_nodes(rng):
 
 
 def _block_run(dtype, fused_on, train, mask, dropout):
-    with nn.use_fused(fused_on):
+    with kernel_path(fused_on):
         rng = np.random.default_rng(7)
         with nn.default_dtype(dtype):
             blk = nn.TransformerBlock(16, 4, dropout=dropout, rng=rng)
@@ -146,7 +121,7 @@ def test_mha_op_parity(dtype, rng):
     mask = _mask_cases(3, 5, rng)["causal+padding"]
 
     def run(fused_on):
-        with nn.use_fused(fused_on):
+        with kernel_path(fused_on):
             t = Tensor(x, requires_grad=True)
             out = attn(t, mask=mask)
             (out ** 2.0).sum().backward()
@@ -165,7 +140,7 @@ def test_sdpa_parity_cross_attention(dtype, rng):
     mask = rng.random((2, 1, 4, 6)) > 0.6
 
     def run(fused_on):
-        with nn.use_fused(fused_on):
+        with kernel_path(fused_on):
             tq, tk, tv = (Tensor(a, requires_grad=True) for a in (q, k, v))
             out = nn.scaled_dot_product_attention(tq, tk, tv, mask=mask)
             (out ** 2.0).sum().backward()
@@ -185,7 +160,7 @@ def test_softmax_cross_entropy_parity(dtype, ignore, rng):
         targets[0, :3] = ignore
 
     def run(fused_on):
-        with nn.use_fused(fused_on):
+        with kernel_path(fused_on):
             t = Tensor(logits, requires_grad=True)
             loss = nn.softmax_cross_entropy(t, targets, ignore_index=ignore)
             loss.backward()
@@ -210,7 +185,7 @@ def test_info_nce_parity(dtype, rng):
     candidate = rng.random((10, 14)) < 0.6
     for cand in (None, candidate):
         def run(fused_on):
-            with nn.use_fused(fused_on):
+            with kernel_path(fused_on):
                 t = Tensor(scores, requires_grad=True)
                 loss = nn.info_nce(t, positive, cand)
                 loss.backward()
@@ -229,7 +204,7 @@ def test_layer_norm_and_linear_and_ffn_parity(dtype, rng):
         ffn = nn.FeedForward(8, 16, rng=np.random.default_rng(1))
     for module in (norm, lin, ffn):
         def run(fused_on):
-            with nn.use_fused(fused_on):
+            with kernel_path(fused_on):
                 t = Tensor(x, requires_grad=True)
                 (module(t) ** 2.0).sum().backward()
                 grads = [p.grad.copy() for p in module.parameters()]
@@ -251,12 +226,11 @@ def test_fused_sdpa_fd(dtype, rng):
     k = rng.normal(size=(2, 3, 8))
     v = rng.normal(size=(2, 3, 8))
     mask = np.triu(np.ones((3, 3), dtype=bool), k=1)
-    with nn.use_fused(True):
-        check_grad_dtype(
-            lambda t: (nn.scaled_dot_product_attention(
-                t, Tensor(k, dtype=t.data.dtype),
-                Tensor(v, dtype=t.data.dtype), mask=mask) ** 2.0).sum(),
-            rng.normal(size=(2, 3, 8)), dtype)
+    check_grad_dtype(
+        lambda t: (nn.scaled_dot_product_attention(
+            t, Tensor(k, dtype=t.data.dtype),
+            Tensor(v, dtype=t.data.dtype), mask=mask) ** 2.0).sum(),
+        rng.normal(size=(2, 3, 8)), dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -265,9 +239,8 @@ def test_fused_block_fd_wrt_input(dtype, rng):
         blk = nn.TransformerBlock(8, 2, rng=np.random.default_rng(5))
     blk.eval()
     mask = nn.causal_mask(4)[None, None]
-    with nn.use_fused(True):
-        check_grad_dtype(lambda t: (blk(t, mask=mask) ** 2.0).sum(),
-                         rng.normal(size=(2, 4, 8)), dtype)
+    check_grad_dtype(lambda t: (blk(t, mask=mask) ** 2.0).sum(),
+                     rng.normal(size=(2, 4, 8)), dtype)
 
 
 def test_fused_block_fd_wrt_parameters(rng):
@@ -278,68 +251,64 @@ def test_fused_block_fd_wrt_parameters(rng):
     blk.eval()
     x = rng.normal(size=(2, 4, 8))
     mask = nn.causal_mask(4)[None, None]
-    with nn.use_fused(True):
-        for name, param in blk.named_parameters():
-            blk.zero_grad()
-            loss = (blk(Tensor(x), mask=mask) ** 2.0).sum()
-            loss.backward()
-            analytic = param.grad.copy()
-            base = param.data.copy()
+    for name, param in blk.named_parameters():
+        blk.zero_grad()
+        loss = (blk(Tensor(x), mask=mask) ** 2.0).sum()
+        loss.backward()
+        analytic = param.grad.copy()
+        base = param.data.copy()
 
-            def scalar_fn(arr, param=param):
-                param.data = arr
-                with nn.no_grad():
-                    return float(
-                        ((blk(Tensor(x), mask=mask) ** 2.0).sum()).data)
+        def scalar_fn(arr, param=param):
+            param.data = arr
+            with nn.no_grad():
+                return float(
+                    ((blk(Tensor(x), mask=mask) ** 2.0).sum()).data)
 
-            try:
-                numeric = numeric_grad(scalar_fn, base.copy())
-            finally:
-                param.data = base
-            np.testing.assert_allclose(analytic, numeric, atol=1e-4,
-                                       rtol=1e-4, err_msg=name)
+        try:
+            numeric = numeric_grad(scalar_fn, base.copy())
+        finally:
+            param.data = base
+        np.testing.assert_allclose(analytic, numeric, atol=1e-4,
+                                   rtol=1e-4, err_msg=name)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_fused_cross_entropy_fd(dtype, rng):
     targets = np.array([0, 2, 1, -1])
-    with nn.use_fused(True):
-        check_grad_dtype(
-            lambda t: nn.softmax_cross_entropy(t, targets, ignore_index=-1),
-            rng.normal(size=(4, 5)), dtype)
+    check_grad_dtype(
+        lambda t: nn.softmax_cross_entropy(t, targets, ignore_index=-1),
+        rng.normal(size=(4, 5)), dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_fused_layer_norm_fd(dtype, rng):
     gamma = rng.normal(size=(6,)) + 1.0
     beta = rng.normal(size=(6,))
-    with nn.use_fused(True):
-        check_grad_dtype(
-            lambda t: (nn.layer_norm(
-                t, Tensor(gamma, dtype=t.data.dtype),
-                Tensor(beta, dtype=t.data.dtype)) ** 2.0).sum(),
-            rng.normal(size=(3, 6)), dtype)
-        x_const = rng.normal(size=(3, 6))
-        check_grad_dtype(
-            lambda t: (nn.layer_norm(
-                Tensor(x_const, dtype=t.data.dtype), t,
-                Tensor(beta, dtype=t.data.dtype)) ** 2.0).sum(),
-            gamma, dtype)
+    check_grad_dtype(
+        lambda t: (nn.layer_norm(
+            t, Tensor(gamma, dtype=t.data.dtype),
+            Tensor(beta, dtype=t.data.dtype)) ** 2.0).sum(),
+        rng.normal(size=(3, 6)), dtype)
+    x_const = rng.normal(size=(3, 6))
+    check_grad_dtype(
+        lambda t: (nn.layer_norm(
+            Tensor(x_const, dtype=t.data.dtype), t,
+            Tensor(beta, dtype=t.data.dtype)) ** 2.0).sum(),
+        gamma, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_fused_linear_fd(dtype, rng):
     w = rng.normal(size=(5, 4))
     b = rng.normal(size=(4,))
-    with nn.use_fused(True):
-        check_grad_dtype(
-            lambda t: (nn.linear(t, Tensor(w, dtype=t.data.dtype),
-                                 Tensor(b, dtype=t.data.dtype)) ** 2.0).sum(),
-            rng.normal(size=(2, 3, 5)), dtype)
-        check_grad_dtype(
-            lambda t: (nn.linear(Tensor(np.ones((2, 5)), dtype=t.data.dtype),
-                                 t, None) ** 2.0).sum(),
-            w, dtype)
+    check_grad_dtype(
+        lambda t: (nn.linear(t, Tensor(w, dtype=t.data.dtype),
+                             Tensor(b, dtype=t.data.dtype)) ** 2.0).sum(),
+        rng.normal(size=(2, 3, 5)), dtype)
+    check_grad_dtype(
+        lambda t: (nn.linear(Tensor(np.ones((2, 5)), dtype=t.data.dtype),
+                             t, None) ** 2.0).sum(),
+        w, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -347,9 +316,8 @@ def test_fused_info_nce_fd(dtype, rng):
     positive = np.eye(4, 6, dtype=bool)
     candidate = rng.random((4, 6)) > 0.2
     candidate |= positive
-    with nn.use_fused(True):
-        check_grad_dtype(lambda t: nn.info_nce(t, positive, candidate),
-                         rng.normal(size=(4, 6)), dtype)
+    check_grad_dtype(lambda t: nn.info_nce(t, positive, candidate),
+                     rng.normal(size=(4, 6)), dtype)
 
 
 # -- lazy unbroadcast ----------------------------------------------------------
@@ -450,7 +418,7 @@ def test_fused_ops_take_no_grad_fast_path(rng):
     blk = nn.TransformerBlock(8, 2, rng=np.random.default_rng(0))
     blk.eval()
     x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
-    with nn.use_fused(True), nn.no_grad():
+    with nn.no_grad():
         out = blk(x)
     assert out._backward is None and out._parents == ()
     assert not out.requires_grad

@@ -8,6 +8,8 @@ import pytest
 import repro.nn as nn
 from repro.nn.serialization import META_KEY
 
+from .unfused import kernel_path
+
 
 class _Net(nn.Module):
     def __init__(self):
@@ -55,13 +57,11 @@ def test_filter_and_strip_prefix(tmp_path):
 @pytest.mark.parametrize("fused", [False, True])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_roundtrip_under_both_kernel_paths(tmp_path, rng, fused, dtype):
-    """Save/load round-trips bit-for-bit under REPRO_FUSED=0 and =1.
-
-    The streaming hot-swap saves from one process configuration and may
-    load under another; the fused/unfused kernel gate must not leak into
-    checkpoint contents or the load path.
+    """Save/load round-trips bit-for-bit on the fused kernels and inside
+    the unfused parity oracle: which kernel path built the model must not
+    leak into checkpoint contents or the load path.
     """
-    with nn.use_fused(fused):
+    with kernel_path(fused):
         model = _Net().to_dtype(dtype)
         model.encoder.weight.data = rng.normal(size=(4, 4)).astype(dtype)
         path = str(tmp_path / f"ckpt-{int(fused)}-{dtype}.npz")

@@ -2,11 +2,12 @@
 
 Three families lock the ANN layer down:
 
-* **recall floors** — IVF and LSH each hold recall@10 >= 0.95 against
-  exact scoring on a seeded, clustered synthetic catalogue (the regime
-  trained item embeddings live in);
+* **recall floors** — IVF holds recall@10 >= 0.95 against exact
+  scoring on a seeded, clustered synthetic catalogue (the regime
+  trained item embeddings live in), fresh and after a warm-started
+  refit;
 * **exact equivalence** — with exhaustive settings (probe every cell /
-  shortlist everything) the ANN path must reproduce the exact path
+  one cell holding everything) the ANN path must reproduce the exact path
   bit-for-bit, including seen-item exclusion and the lower-item-id
   tie-break, which pins the candidate-re-rank plumbing;
 * **fallback triggers** — every condition under which approximate
@@ -21,7 +22,7 @@ import pytest
 
 from repro.baselines import make_baseline
 from repro.data import build_dataset
-from repro.serve import (CatalogIndex, IVFIndex, LSHIndex, Recommender,
+from repro.serve import (CatalogIndex, IVFIndex, ModelRegistry, Recommender,
                          make_ann_index, synthetic_catalog,
                          synthetic_queries)
 from repro.serve.ann import default_nlist
@@ -60,13 +61,14 @@ def recall_at_k(index, catalog, queries, k=10):
 # -- recall floors -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("make_index", [
-    pytest.param(lambda: IVFIndex(seed=0), id="ivf"),
-    pytest.param(lambda: LSHIndex(seed=0), id="lsh"),
+@pytest.mark.parametrize("refits", [
+    pytest.param(0, id="ivf"),
+    pytest.param(1, id="ivf-refit"),     # warm-started from its centroids
 ])
-def test_recall_floor_at_default_settings(make_index, catalog, queries):
-    index = make_index()
-    index.fit(catalog, version=1)
+def test_recall_floor_at_default_settings(refits, catalog, queries):
+    index = IVFIndex(seed=0)
+    for version in range(1, refits + 2):
+        index.fit(catalog, version=version)
     assert recall_at_k(index, catalog, queries, k=10) >= 0.95
 
 
@@ -79,22 +81,14 @@ def test_ivf_recall_improves_with_nprobe(catalog, queries):
             >= recall_at_k(coarse, catalog, queries))
 
 
-def test_lsh_recall_improves_with_oversampling(catalog, queries):
-    tight = LSHIndex(bits=32, oversample=1, min_candidates=10, seed=0)
-    loose = LSHIndex(bits=128, oversample=16, min_candidates=256, seed=0)
-    tight.fit(catalog, version=1)
-    loose.fit(catalog, version=1)
-    assert (recall_at_k(loose, catalog, queries)
-            >= recall_at_k(tight, catalog, queries))
-
-
 # -- candidate-set contract --------------------------------------------------
 
 
 @pytest.mark.parametrize("make_index", [
     pytest.param(lambda: IVFIndex(nlist=32, nprobe=2, seed=0), id="ivf"),
-    pytest.param(lambda: LSHIndex(bits=64, oversample=2, min_candidates=16,
-                                  seed=0), id="lsh"),
+    # One ~64-item cell per probe: asking for 200 must widen.
+    pytest.param(lambda: IVFIndex(nlist=64, nprobe=1, seed=0),
+                 id="ivf-single-probe"),
 ])
 def test_candidates_are_valid_ascending_ids(make_index, catalog, queries):
     index = make_index()
@@ -135,10 +129,11 @@ def test_make_ann_index_factory():
     assert make_ann_index("exact") is None
     assert make_ann_index(None) is None
     assert make_ann_index("ivf", nlist=8).nlist == 8
-    assert make_ann_index("lsh", bits=64).bits == 64
+    assert make_ann_index("IVF", nprobe=2).nprobe == 2
     assert make_ann_index("ivf", nlist=None) .nlist is None  # None dropped
-    with pytest.raises(ValueError):
-        make_ann_index("annoy")
+    for unknown in ("annoy", "lsh"):
+        with pytest.raises(ValueError):
+            make_ann_index(unknown)
 
 
 def test_default_nlist_follows_sqrt_rule():
@@ -162,14 +157,6 @@ def test_refresh_is_incremental_and_version_stamped(catalog):
     # Warm start: the refreshed quantizer descends from the previous
     # centroids rather than re-seeding (centroids moved only slightly).
     assert np.abs(ivf._fitted.state.centroids - first_centroids).max() < 0.5
-
-
-def test_lsh_hyperplanes_survive_refresh(catalog):
-    lsh = LSHIndex(bits=64, seed=0)
-    lsh.fit(catalog, version=1)
-    planes = lsh._fitted.state.hyperplanes
-    lsh.fit(catalog.copy(), version=2)
-    assert lsh._fitted.state.hyperplanes is planes   # only codes re-encoded
 
 
 # -- recommender integration (real model, real dataset) ----------------------
@@ -198,8 +185,7 @@ def exact_answers(paper_model, paper_dataset, paper_histories):
 
 @pytest.mark.parametrize("kind,params", [
     pytest.param("ivf", {"nlist": 8, "nprobe": 8}, id="ivf-exhaustive"),
-    pytest.param("lsh", {"bits": 128, "oversample": 64,
-                         "min_candidates": 10_000}, id="lsh-exhaustive"),
+    pytest.param("ivf", {"nlist": 1}, id="ivf-one-cell"),
 ])
 def test_exhaustive_ann_equals_exact_bit_for_bit(
         kind, params, paper_model, paper_dataset, paper_histories,
@@ -282,7 +268,7 @@ def test_fallback_non_kernel_model(paper_dataset, paper_histories):
 def test_fallback_heuristic_model_without_index(paper_dataset,
                                                 paper_histories):
     model = make_baseline("pop", paper_dataset)
-    rec = Recommender(model, paper_dataset, retrieval="lsh",
+    rec = Recommender(model, paper_dataset, retrieval="ivf",
                       min_ann_items=1)
     assert rec.index is None and rec.ann is None
     rec.recommend(paper_histories[0], k=5)
@@ -344,39 +330,17 @@ def test_search_view_survives_concurrent_refit(catalog):
 
 def test_configured_backend_overrides_mismatched_attached_ann(paper_model,
                                                               paper_dataset):
-    # A shared index may arrive with a different structure attached; the
-    # recommender's own configuration must win, or /stats would report
-    # one backend while routing through another.
+    # A shared index may arrive with a differently configured structure
+    # attached; the recommender's explicit knobs must win, or /stats
+    # would report one configuration while routing through another.
     index = CatalogIndex(paper_model, paper_dataset)
-    index.attach_ann(LSHIndex(bits=64, seed=0))
+    index.attach_ann(IVFIndex(nlist=8, nprobe=8, seed=0))
     rec = Recommender(paper_model, paper_dataset, index=index,
                       retrieval="ivf", ann_params={"nlist": 4, "nprobe": 4},
                       min_ann_items=1)
     assert rec.ann.kind == "ivf"
     assert rec.ann.nlist == 4
     assert rec.describe_retrieval()["ann"]["kind"] == "ivf"
-
-
-def test_sibling_backend_swap_falls_back_instead_of_misrouting(
-        paper_model, paper_dataset, paper_histories, exact_answers):
-    # Recommender `a` configures IVF; `b` later re-attaches LSH to the
-    # shared index. `a` must not silently shortlist through LSH while
-    # reporting IVF — it falls back to exact and counts why.
-    index = CatalogIndex(paper_model, paper_dataset)
-    a = Recommender(paper_model, paper_dataset, index=index,
-                    retrieval="ivf", ann_params={"nlist": 8, "nprobe": 8},
-                    min_ann_items=1)
-    b = Recommender(paper_model, paper_dataset, index=index,
-                    retrieval="lsh", ann_params={"bits": 64},
-                    min_ann_items=1)
-    assert index.ann.kind == "lsh"
-    got = a.recommend_batch(paper_histories, k=10)
-    assert a.retrieval_stats.ann_batches == 0
-    assert a.retrieval_stats.fallbacks == {"backend_mismatch": 1}
-    for expected, answer in zip(exact_answers, got):
-        assert np.array_equal(expected.items, answer.items)
-    b.recommend(paper_histories[0], k=5)
-    assert b.retrieval_stats.ann_batches == 1     # owner still routes ANN
 
 
 def test_matching_attached_ann_is_reused_without_params(paper_model,
@@ -395,15 +359,33 @@ def test_retrieval_kind_is_case_insensitive(paper_model, paper_dataset,
                       ann_params={"nlist": 8, "nprobe": 8}, min_ann_items=1)
     rec.recommend(paper_histories[0], k=5)
     assert rec.retrieval == "ivf"
-    assert rec.retrieval_stats.ann_batches == 1   # routed, no mismatch
+    assert rec.retrieval_stats.ann_batches == 1   # routed
 
 
 def test_describe_retrieval_reports_backend(paper_model, paper_dataset,
                                             paper_histories):
-    rec = Recommender(paper_model, paper_dataset, retrieval="lsh",
-                      ann_params={"bits": 64}, min_ann_items=1)
+    rec = Recommender(paper_model, paper_dataset, retrieval="ivf",
+                      ann_params={"nlist": 4}, min_ann_items=1)
     rec.recommend(paper_histories[0], k=5)
     info = rec.describe_retrieval()
-    assert info["retrieval"] == "lsh"
-    assert info["ann"]["kind"] == "lsh" and info["ann"]["bits"] == 64
+    assert info["retrieval"] == "ivf"
+    assert info["ann"]["kind"] == "ivf" and info["ann"]["nlist"] == 4
     assert info["ann"]["fitted_version"] == 1
+
+
+@pytest.mark.parametrize("model_name", ["sasrec", "pop"])
+def test_unknown_retrieval_name_is_rejected_for_every_model(model_name,
+                                                            paper_dataset):
+    # Heuristic models never consult an index, but a misspelled backend
+    # must still fail at construction rather than be reported on
+    # /scenarios and counted as a fallback on every batch.
+    model = make_baseline(model_name, paper_dataset, seed=0)
+    for name in ("bogus", "lsh"):
+        with pytest.raises(ValueError, match="unknown retrieval backend"):
+            Recommender(model, paper_dataset, retrieval=name)
+
+
+def test_registry_rejects_unknown_retrieval_name():
+    registry = ModelRegistry(profile="smoke", retrieval="bogus")
+    with pytest.raises(ValueError, match="unknown retrieval backend"):
+        registry.add("kwai_food:pop")

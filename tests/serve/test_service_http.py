@@ -8,14 +8,17 @@ matches direct retrieval.
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.obs import metrics
 from repro.serve import (MicroBatcher, ModelRegistry, RecommendationService,
                          build_model, make_server)
+from repro.serve.http import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,36 @@ def test_http_error_contract(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get(server, "/nope")
     assert err.value.code == 404
+
+
+def test_oversized_body_is_a_json_413_and_closes_the_connection(server):
+    """A body over the cap is refused unread, counted, and not parsed on.
+
+    Reading it would allocate whatever the client declared; leaving it
+    unread on a keep-alive connection would parse its bytes as the next
+    request. So the server answers a JSON 413 and closes the connection.
+    """
+    key = ("repro_http_requests_total",
+           '{method="POST",path="/recommend",status="413"}')
+
+    def refused() -> float:
+        return metrics.parse_prometheus(metrics.REGISTRY.render()).get(key,
+                                                                        0.0)
+
+    before = refused()
+    with socket.create_connection(server.server_address[:2],
+                                  timeout=30) as sock:
+        sock.sendall(b"POST /recommend HTTP/1.1\r\nHost: test\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: %d\r\n\r\n" % 10**12)
+        reply = b""
+        while chunk := sock.recv(65536):     # returns b"" once closed
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"\r\nConnection: close" in head
+    assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+    assert refused() == before + 1
 
 
 def test_unexpected_failure_yields_well_formed_500(server, service,

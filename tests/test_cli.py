@@ -60,15 +60,26 @@ def test_serve_smoke_with_ivf_reports_fallback_at_tiny_scale(capsys):
 
 def test_bench_serve_labels_fallback_honestly(capsys):
     # At smoke scale (18 items, k=10) the ANN path must fall back, and
-    # the benchmark table must say so instead of claiming LSH numbers.
+    # the benchmark table must say so instead of claiming IVF numbers.
     code = main(["bench-serve", "--dataset", "kwai_food", "--model",
                  "sasrec", "--profile", "smoke", "--requests", "8",
-                 "--batch", "4", "--retrieval", "lsh",
+                 "--batch", "4", "--retrieval", "ivf",
                  "--ann-min-items", "1"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "retrieval=lsh" in out
+    assert "retrieval=ivf" in out
     assert "batched-exact-fallback-top10" in out
+
+
+@pytest.mark.parametrize("command", ["serve", "stream", "bench-serve",
+                                     "bench-stream"])
+def test_retrieval_choices_are_the_backend_kinds(command, capsys):
+    from repro.serve.ann import ANN_KINDS
+    assert ANN_KINDS == ("exact", "ivf")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--retrieval", "lsh"])
+    assert ("invalid choice: 'lsh' (choose from 'exact', 'ivf')"
+            in capsys.readouterr().err)
 
 
 def test_bench_serve_labels_engaged_ann_backend(capsys):
