@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batch flush size")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch flush timeout")
+                       help="micro-batch flush timeout, in-process tier "
+                            "only; pool workers (--workers N) run what "
+                            "their pipe holds at once")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="LRU entries per scenario (0 disables)")
     serve.add_argument("--no-exclude-seen", action="store_true",
@@ -115,7 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--dtype", default="float32",
                         choices=["float32", "float64"])
     stream.add_argument("--max-batch", type=int, default=32)
-    stream.add_argument("--max-wait-ms", type=float, default=2.0)
+    stream.add_argument("--max-wait-ms", type=float, default=2.0,
+                        help="micro-batch flush timeout, in-process tier "
+                             "only; pool workers (--workers N) run what "
+                             "their pipe holds at once")
     stream.add_argument("--cache-size", type=int, default=1024)
     stream.add_argument("--no-exclude-seen", action="store_true")
     stream.add_argument("--seed", type=int, default=0)

@@ -3,11 +3,16 @@
 The numpy substrate's throughput scales with batch width (one user
 encoder pass over ``(B, L, d)`` costs barely more than over
 ``(1, L, d)``), so the server queues incoming requests and flushes them
-as one ``recommend_batch`` call when either the batch is full (*size*
-trigger) or the oldest request has waited ``max_wait_ms`` (*timeout*
-trigger). Repeat users hit an LRU cache keyed on the history hash, the
-requested ``k`` and the catalogue index version, and never reach the
-model at all.
+as one ``recommend_batch`` call. A threaded batcher flushes when either
+the batch is full (*size* trigger) or the oldest request has waited
+``max_wait_ms`` (*timeout* trigger). A manual-mode batcher
+(``start=False``) flushes whatever is queued when its owner calls
+:meth:`MicroBatcher.flush_batch` (*drain* trigger, or *size* for a full
+batch) — the pool workers' pipe loop drives it that way. Repeat users
+hit an LRU cache keyed on the history hash, the requested ``k`` and the
+catalogue index version, and never reach the model at all. A request
+that fails inside a batch fails only itself: the batch is re-run one
+member at a time.
 
 A batcher lives as long as its scenario is served: a new generation
 retargets it with :meth:`MicroBatcher.swap`, so its queue and counters
@@ -39,6 +44,7 @@ class BatcherStats:
     batches: int = 0
     size_flushes: int = 0
     timeout_flushes: int = 0
+    drain_flushes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     largest_batch: int = 0
@@ -96,8 +102,9 @@ class MicroBatcher:
 
     ``submit`` returns a ``concurrent.futures.Future``; ``recommend`` is
     the blocking convenience wrapper. Construct with ``start=False`` to
-    drive flushing manually via :meth:`flush_pending` (used by tests and
-    the offline benchmark, where a background thread only adds noise).
+    drive flushing manually via :meth:`flush_batch` /
+    :meth:`flush_pending` (pool workers, tests and the offline
+    benchmark, where a background thread only adds a hop).
     """
 
     def __init__(self, recommender: Recommender, max_batch: int = 32,
@@ -130,7 +137,7 @@ class MicroBatcher:
             kind: metrics.counter("repro_serve_flushes_total",
                                   "batch flushes by trigger",
                                   labels={**scope, "trigger": kind})
-            for kind in ("size", "timeout")}
+            for kind in ("size", "timeout", "drain")}
         self._m_queue_wait = metrics.histogram(
             "repro_serve_queue_wait_seconds",
             "submit-to-flush wait of batched requests", labels=scope)
@@ -213,8 +220,10 @@ class MicroBatcher:
         self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
         if trigger == "size":
             self.stats.size_flushes += 1
-        else:
+        elif trigger == "timeout":
             self.stats.timeout_flushes += 1
+        else:
+            self.stats.drain_flushes += 1
         self._m_flushes[trigger].inc()
         self._m_batch_size.observe(float(len(batch)))
         now_mono = time.monotonic()
@@ -241,39 +250,69 @@ class MicroBatcher:
                 with trace.activate(batch_ctx):
                     results = self.recommender.recommend_batch(
                         [p.history for p in batch], k=k_max)
-            except Exception as exc:  # propagate to every waiter
-                for pending in batch:
-                    if not pending.future.cancelled():
-                        pending.future.set_exception(exc)
+            except Exception as exc:
+                if len(batch) == 1:
+                    self._fail(batch[0], exc)
+                else:
+                    # Which member failed is unknown, and a request's
+                    # outcome must depend only on that request: re-run
+                    # each one alone for its own answer or its own error.
+                    for pending in batch:
+                        self._run_alone(pending)
                 return
             if batch_ctx is not None:
                 for pending in traced:
                     pending.trace.extend(batch_ctx.spans)
             for pending, result in zip(batch, results):
-                if pending.k < len(result.items):
-                    result = Recommendation(
-                        items=result.items[:pending.k],
-                        scores=result.scores[:pending.k],
-                        index_version=result.index_version)
-                # Cache under the index version that actually produced
-                # the answer — a refresh may have landed after submit
-                # keyed it.
-                self.cache.put((pending.key[0], pending.k,
-                                result.index_version), result)
-                if not pending.future.cancelled():
-                    pending.future.set_result(result)
+                self._resolve(pending, result)
+
+    def _run_alone(self, pending: _Pending) -> None:
+        try:
+            with trace.activate(pending.trace):
+                (result,) = self.recommender.recommend_batch(
+                    [pending.history], k=pending.k)
+        except Exception as exc:
+            self._fail(pending, exc)
+        else:
+            self._resolve(pending, result)
+
+    @staticmethod
+    def _fail(pending: _Pending, exc: Exception) -> None:
+        if not pending.future.cancelled():
+            pending.future.set_exception(exc)
+
+    def _resolve(self, pending: _Pending, result: Recommendation) -> None:
+        if pending.k < len(result.items):
+            result = Recommendation(items=result.items[:pending.k],
+                                    scores=result.scores[:pending.k],
+                                    index_version=result.index_version)
+        # Cache under the index version that actually produced the
+        # answer — a refresh may have landed after submit keyed it.
+        self.cache.put((pending.key[0], pending.k, result.index_version),
+                       result)
+        if not pending.future.cancelled():
+            pending.future.set_result(result)
+
+    def flush_batch(self) -> list[Future]:
+        """Run one batch of what is queued (manual mode).
+
+        Returns the futures of the requests it ran, all resolved; an
+        empty list when nothing was queued. A partial batch counts as a
+        *drain* flush: it was run because its owner had nothing more to
+        add, not because a clock ran out.
+        """
+        with self._cond:
+            batch = self._drain()
+        self._execute(batch,
+                      "size" if len(batch) >= self.max_batch else "drain")
+        return [pending.future for pending in batch]
 
     def flush_pending(self) -> int:
         """Flush everything queued right now (manual mode); returns count."""
         flushed = 0
-        while True:
-            with self._cond:
-                batch = self._drain()
-            if not batch:
-                return flushed
-            trigger = "size" if len(batch) >= self.max_batch else "timeout"
-            self._execute(batch, trigger)
-            flushed += len(batch)
+        while futures := self.flush_batch():
+            flushed += len(futures)
+        return flushed
 
     def _worker(self) -> None:
         while True:
@@ -337,15 +376,17 @@ class BatcherTable:
 
     Both serving tiers run this table — the in-process service in its
     own process, every pool worker in its process — so per-scenario
-    batching and :meth:`counters` read the same on either tier.
+    batching and :meth:`counters` read the same on either tier. The
+    in-process tier runs threaded batchers; a pool worker passes
+    ``start=False`` and flushes them from its pipe loop.
     Batchers are created on first use and closed only by :meth:`close`;
     a generation change goes through :meth:`MicroBatcher.swap`.
     """
 
     def __init__(self, max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 1024):
+                 cache_size: int = 1024, start: bool = True):
         self._settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                          "cache_size": cache_size}
+                          "cache_size": cache_size, "start": start}
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._lock = threading.Lock()
         self._closed = False

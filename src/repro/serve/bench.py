@@ -409,7 +409,9 @@ def bench_pool_scaling(dataset_name: str, model_name: str, *,
     index) is built once and reused across legs; only the pool is
     reforked per worker count. An in-process leg (no pool) rides along
     as the dispatch-overhead baseline and runs *last* so its batcher
-    threads never precede a fork.
+    threads never precede a fork. ``max_wait_ms`` is the in-process
+    leg's batching window; pool workers have none. Each leg also
+    records its mean coalesced batch (``mean_batch``).
     """
     import threading
     from dataclasses import replace as _replace
@@ -468,15 +470,18 @@ def bench_pool_scaling(dataset_name: str, model_name: str, *,
                         batch_size=client_threads)
 
     reports: list[BenchReport] = []
+    mean_batch: dict[str, float] = {}
     legs = [(f"pool-{count}w", int(count)) for count in worker_counts]
     if include_inprocess:
         legs.append(("in-process", 0))
     for name, workers in legs:
+        window = {} if workers else {"max_wait_ms": max_wait_ms}
         service = RecommendationService(registry, workers=workers,
-                                        max_batch=max_batch,
-                                        max_wait_ms=max_wait_ms)
+                                        max_batch=max_batch, **window)
         try:
             reports.append(run_leg(name, service))
+            mean_batch[name] = service.stats()["scenarios"][
+                f"{dataset_name}:{model_name}"]["mean_batch"]
         finally:
             service.close()
     base = next((r for r in reports if r.name == "pool-1w"), reports[0])
@@ -486,7 +491,7 @@ def bench_pool_scaling(dataset_name: str, model_name: str, *,
             "clients": client_threads, "k": k,
             "cpu_count": os.cpu_count() or 1,
             "worker_counts": [int(c) for c in worker_counts],
-            "reports": reports,
+            "reports": reports, "mean_batch": mean_batch,
             "scaling": {r.name: (r.qps / base.qps if base.qps else 0.0)
                         for r in reports if r.name.startswith("pool-")}}
 
@@ -500,11 +505,12 @@ def render_pool_report(sweep: dict,
              f"{sweep['clients']} client threads; host has "
              f"{sweep['cpu_count']} cpu core(s)",
              f"{'leg':<14} {'req':>5} {'p50 ms':>8} {'p99 ms':>8} "
-             f"{'QPS':>8}"]
+             f"{'QPS':>8} {'batch':>6}"]
     for report in sweep["reports"]:
         lines.append(f"{report.name:<14} {report.requests:>5} "
                      f"{report.p50_ms:>8.2f} {report.p99_ms:>8.2f} "
-                     f"{report.qps:>8.1f}")
+                     f"{report.qps:>8.1f} "
+                     f"{sweep['mean_batch'][report.name]:>6.2f}")
     for name, ratio in sweep["scaling"].items():
         if name != "pool-1w":
             lines.append(f"{name}: {ratio:.2f}x pool-1w QPS")

@@ -14,16 +14,19 @@ old-or-new-ranks-only hot-swap contract (PR 5/6):
 * :class:`WorkerPool` forks N worker processes (fork, not spawn: the
   registry's datasets and models transfer by copy-on-write page, never
   by pickle) and dispatches requests over per-worker pipes. Each worker
-  runs its own :class:`~repro.serve.batcher.BatcherTable`, so batching
-  still amortizes GEMMs inside every process.
+  is one thread whose pipe loop batches whatever is readable through
+  its own manual-mode :class:`~repro.serve.batcher.BatcherTable` (see
+  :func:`_worker_main`): batches grow with load, and a lone request
+  waits on no clock.
 * Hot swaps run through a **generation fence**: the parent publishes
   the new generation's segment, sends a ``swap`` control message down
   every worker pipe, and waits for every live worker to ack before the
-  old segment is unlinked. Each worker acks once
-  :meth:`~repro.serve.batcher.MicroBatcher.swap` has waited out its
-  batch in flight and retargeted the batcher, so after the fence no
-  batch runs on the old generation anywhere. No request is dropped, and
-  no response ever mixes generations.
+  old segment is unlinked. A worker handles its pipe in order: every
+  request read before the ``swap`` is answered on the old generation,
+  then :meth:`~repro.serve.batcher.MicroBatcher.swap` retargets the
+  batcher and the ack goes out, so after the fence no batch runs on the
+  old generation anywhere. No request is dropped, and no response ever
+  mixes generations.
 * :class:`~repro.serve.service.RecommendationService` with
   ``workers=N`` is the facade over this pool; the HTTP front, the CLI
   and the streaming manager never see the difference.
@@ -267,9 +270,28 @@ def _close_segment(segment) -> None:
         pass
 
 
+def _outcome(req_id: int, future: Future) -> tuple:
+    """The reply message for one resolved request future."""
+    error = future.exception()
+    if error is not None:
+        return ("err", req_id, type(error).__name__, str(error))
+    return ("res", req_id, future.result().to_json())
+
+
 def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
                  boot: dict, settings: dict) -> None:
-    """Entry point of one forked worker process."""
+    """Entry point of one forked worker process; returns on ``stop``.
+
+    One thread serves the pipe, and it never waits on a clock: it blocks
+    for one message, drains every message already readable, and handles
+    them in pipe order. A request joins its scenario's manual-mode
+    batcher (an LRU hit is answered at once). Whenever the drained
+    messages run out, or a control message comes next, every queued
+    request runs, one batch per scenario and ``max_batch``, and each
+    batch's replies go out as soon as that batch finishes. So a ``swap``
+    first answers every request read before it on the old generation.
+    Requests that arrive while a batch runs form the next batch.
+    """
     try:
         parent_conn.close()        # our copy of the parent's pipe end
     except Exception:  # pragma: no cover - already closed
@@ -277,38 +299,25 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
     # The fork copied the parent's metric shards; zero them so the
     # cross-process merge never double-counts pre-fork history.
     metrics.REGISTRY.reset()
-    table = BatcherTable(**settings)
+    table = BatcherTable(**settings, start=False)
     states: dict[tuple[str, str], _WorkerScenario] = {}
     for key, info in boot.items():
         state = states[key] = _WorkerScenario(registry.get(*key))
         table.get(key, state.adopt(registry, info["segment"], info["version"],
                                    info["num_items"], info["generation"],
                                    model_changed=False))
-    send_lock = threading.Lock()
 
     def reply(message) -> None:
         try:
-            with send_lock:
-                conn.send(message)
+            conn.send(message)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
             pass
 
-    def deliver(req_id: int, future: Future) -> None:
-        error = future.exception()
-        if error is not None:
-            reply(("err", req_id, type(error).__name__, str(error)))
-        else:
-            reply(("res", req_id, future.result().to_json()))
-
-    running = True
-    while running:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):        # parent died or closed us out
-            break
-        kind = message[0]
-        if kind == "req":
-            _, req_id, key, history, k = message
+    def answer(requests: list) -> None:
+        """Run ``requests``, one batch at a time, replying per batch."""
+        queued: dict[Future, int] = {}
+        touched: dict = {}                 # batchers in first-use order
+        for _, req_id, key, history, k in requests:
             batcher = table.get(tuple(key))
             if batcher is None:
                 reply(("err", req_id, "KeyError",
@@ -319,9 +328,20 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
             except Exception as exc:
                 reply(("err", req_id, type(exc).__name__, str(exc)))
                 continue
-            future.add_done_callback(
-                lambda f, rid=req_id: deliver(rid, f))
-        elif kind == "swap":
+            if future.done():
+                reply(_outcome(req_id, future))
+            else:
+                queued[future] = req_id
+                touched[batcher] = None
+        for batcher in touched:
+            while futures := batcher.flush_batch():
+                for future in futures:
+                    reply(_outcome(queued.pop(future), future))
+
+    def control(message) -> bool:
+        """Handle one control message; False once the pool says stop."""
+        kind = message[0]
+        if kind == "swap":
             (_, token, key, generation, segment_name, version, num_items,
              model_changed) = message
             key = tuple(key)
@@ -346,9 +366,29 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
         elif kind == "metrics":
             reply(("metrics", message[1], metrics.REGISTRY.collect()))
         elif kind == "stop":
-            table.close()                  # drain everything still queued
             reply(("bye", message[1]))
-            running = False
+            return False
+        return True
+
+    running = True
+    while running:
+        try:
+            messages = [conn.recv()]
+            while conn.poll(0):
+                messages.append(conn.recv())
+        except (EOFError, OSError):        # parent died or closed us out
+            break
+        requests: list = []
+        for message in messages:
+            if message[0] == "req":
+                requests.append(message)
+                continue
+            answer(requests)
+            requests = []
+            running = control(message)
+            if not running:
+                break
+        answer(requests)
     try:
         table.close()
     except Exception:  # pragma: no cover - teardown best effort
@@ -398,8 +438,7 @@ class WorkerPool:
     """Fork N serving processes and dispatch requests/fences over pipes."""
 
     def __init__(self, registry: ModelRegistry, workers: int = 2,
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 1024):
+                 max_batch: int = 32, cache_size: int = 1024):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if len(registry) == 0:
@@ -407,8 +446,7 @@ class WorkerPool:
                             "registry")
         context = _fork_context()
         self.registry = registry
-        self._settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                          "cache_size": cache_size}
+        self._settings = {"max_batch": max_batch, "cache_size": cache_size}
         self._store = SharedCatalogStore()
         self._seq = itertools.count(1)
         self._rr = 0

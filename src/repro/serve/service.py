@@ -32,21 +32,29 @@ __all__ = ["RecommendationService"]
 
 #: Per-scenario batcher counters summed across serving processes.
 _SUMMED = ("requests", "batches", "size_flushes", "timeout_flushes",
-           "cache_hits", "cache_misses", "queue_depth")
+           "drain_flushes", "cache_hits", "cache_misses", "queue_depth")
+
+#: The longest history a request may carry. Models encode only their
+#: last ``max_seq_len`` items, and the longest history the repo's own
+#: clients send is 25 ids; an unbounded one would stall its batch-mates.
+MAX_HISTORY = 1024
 
 
 def _checked_request(history, k, num_items: int) -> tuple[list[int], int]:
     """Validate one request before it joins a batch; raises ValueError.
 
-    History ids must be integers in ``[1, num_items]`` and ``k`` an
-    integer >= 1 (a ``k`` past the catalogue is clamped by top-k).
-    Booleans, floats, strings and nested lists are refused, never
-    coerced.
+    History ids must be integers in ``[1, num_items]``, at most
+    :data:`MAX_HISTORY` of them, and ``k`` an integer >= 1 (a ``k`` past
+    the catalogue is clamped by top-k). Booleans, floats, strings and
+    nested lists are refused, never coerced.
     """
     if isinstance(history, np.ndarray):
         history = history.tolist()
     if not isinstance(history, list) or not history:
         raise ValueError("'history' must be a non-empty list of item ids")
+    if len(history) > MAX_HISTORY:
+        raise ValueError(f"'history' may hold at most {MAX_HISTORY} item "
+                         f"ids; got {len(history)}")
     for item in history:
         # type(), not isinstance(): bool is a subclass of int.
         if type(item) is not int or not 1 <= item <= num_items:
@@ -85,7 +93,9 @@ class RecommendationService:
         self.registry = registry
         self.workers = workers
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
+        # The batching window applies in-process only: pool workers run
+        # whatever their pipe holds at once, so it reads 0 there.
+        self.max_wait_ms = max_wait_ms if workers == 0 else 0.0
         self.cache_size = cache_size
         self.stream = None          # attached via attach_stream()
         self.monitor = None         # attached via enable_monitoring()
@@ -94,7 +104,6 @@ class RecommendationService:
         if workers > 0:
             self.pool = WorkerPool(registry, workers=workers,
                                    max_batch=max_batch,
-                                   max_wait_ms=max_wait_ms,
                                    cache_size=cache_size)
         else:
             self._batchers = BatcherTable(max_batch=max_batch,

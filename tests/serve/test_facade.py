@@ -22,6 +22,7 @@ import pytest
 from repro.obs import metrics
 from repro.obs.health import Rule
 from repro.serve import ModelRegistry, RecommendationService, make_server
+from repro.serve.service import MAX_HISTORY
 from repro.stream import StreamConfig, StreamManager
 
 SCENARIO = "kwai_food:sasrec"
@@ -29,8 +30,9 @@ T0 = 4_000_000.0
 
 #: The per-scenario ``/stats`` keys, identical on both tiers.
 SCENARIO_KEYS = {"requests", "batches", "size_flushes", "timeout_flushes",
-                 "cache_hits", "cache_misses", "largest_batch", "mean_batch",
-                 "queue_depth", "retrieval", "latency_ms"}
+                 "drain_flushes", "cache_hits", "cache_misses",
+                 "largest_batch", "mean_batch", "queue_depth", "retrieval",
+                 "latency_ms"}
 
 
 @pytest.fixture(scope="module",
@@ -41,7 +43,8 @@ SCENARIO_KEYS = {"requests", "batches", "size_flushes", "timeout_flushes",
 def tier(request):
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add(SCENARIO, seed=0)
-    # A 50 ms batching window: concurrent requests share a batch.
+    # A 50 ms in-process batching window, so concurrent requests share
+    # a batch there; pool workers batch whatever their pipe holds.
     service = RecommendationService(registry, workers=request.param,
                                     max_wait_ms=50.0, cache_size=0)
     # Attached after the pool forked, like the CLI does.
@@ -92,10 +95,13 @@ def test_malformed_requests_are_400_on_both_tiers(tier):
            {"history": [num_items + 1]}, {"history": []},
            {"history": "1 2"}, {"history": None},
            {"history": [1], "k": 2.7}, {"history": [1], "k": 0},
-           {"history": [1], "k": True}, {"history": [1], "k": "5"}]
+           {"history": [1], "k": True}, {"history": [1], "k": "5"},
+           {"history": [1] * (MAX_HISTORY + 1)}]
     for body in bad:
         status, payload = _recommend(server, **body)
         assert status == 400 and "error" in payload, body
+    # A history at the length cap is served.
+    assert _recommend(server, [1] * MAX_HISTORY)[0] == 200
     # A k past the catalogue is clamped, not refused.
     status, payload = _recommend(server, [1, 2], k=10 ** 6)
     assert status == 200 and len(payload["items"]) == num_items - 2
@@ -168,6 +174,9 @@ def test_stats_key_set_is_the_same_on_both_tiers(tier):
     assert {"mode", "workers", "alive", "per_worker"} <= set(stats["pool"])
     assert set(stats["settings"]) == {"max_batch", "max_wait_ms",
                                       "cache_size", "workers"}
+    # The window actually applied: pool workers have none.
+    assert stats["settings"]["max_wait_ms"] == (0.0 if service.workers
+                                                else 50.0)
     assert {"swaps_rejected", "round_errors"} \
         <= set(stats["stream"]["totals"])
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.nn.ops import topk
 from repro.serve import Recommender
 
-from .conftest import reference_topk
+from .conftest import FakeDataset, TableScorer, reference_topk
 
 
 def _scores(seed: int, rows: int, cols: int, dtype, tie_levels: int,
@@ -67,32 +67,6 @@ def test_topk_1d_equals_oracle(seed, cols, k, tie_levels):
 # -- the seen-item-exclusion mask path through Recommender -------------------
 
 
-class _TableScorer:
-    """Deterministic fallback-protocol model: one fixed score row per item.
-
-    Scores a history as the table row of its last item, *returning
-    shared state* — which is exactly the case ``Recommender._mask_scores``
-    must defensively copy before writing ``-inf`` exclusions into it.
-    """
-
-    def __init__(self, num_items: int, seed: int):
-        rng = np.random.default_rng(seed)
-        # A small integer range forces score ties across items.
-        self.table = rng.integers(0, 7,
-                                  size=(num_items + 1,
-                                        num_items + 1)).astype(np.float64)
-
-    def score_histories(self, dataset, histories):
-        return self.table[[int(h[-1]) for h in histories]]
-
-
-class _FakeDataset:
-    name = "fake"
-
-    def __init__(self, num_items: int):
-        self.num_items = num_items
-
-
 def _oracle_recommend(scores: np.ndarray, history: np.ndarray,
                       k: int, exclude_seen: bool) -> np.ndarray:
     scores = scores.copy()
@@ -112,8 +86,8 @@ def test_recommend_matches_oracle_with_exclusion(seed, num_items,
                                                  history_len, k,
                                                  exclude_seen):
     rng = np.random.default_rng(seed)
-    model = _TableScorer(num_items, seed)
-    dataset = _FakeDataset(num_items)
+    model = TableScorer(num_items, seed)
+    dataset = FakeDataset(num_items)
     recommender = Recommender(model, dataset, exclude_seen=exclude_seen)
     history = rng.integers(1, num_items + 1, size=history_len)
     answer = recommender.recommend(history, k=k)
