@@ -34,8 +34,7 @@ def _serving_qps(histories, recommender, batch_size: int = 16,
     best = 0.0
     for _ in range(repeats):
         batcher = MicroBatcher(recommender, max_batch=batch_size,
-                               cache_size=0, start=False,
-                               metrics_label="obs-bench")
+                               start=False, metrics_label="obs-bench")
         futures = []
         start = time.perf_counter()
         for history in histories:

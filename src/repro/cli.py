@@ -90,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "only; pool workers (--workers N) run what "
                             "their pipe holds at once")
     serve.add_argument("--cache-size", type=int, default=1024,
-                       help="LRU entries per scenario (0 disables)")
+                       help="result-cache entries per scenario, one cache "
+                            "in the serving process for any --workers "
+                            "(0 disables)")
     serve.add_argument("--no-exclude-seen", action="store_true",
                        help="allow recommending items already in a history")
     serve.add_argument("--seed", type=int, default=0)

@@ -11,10 +11,11 @@ protocol (PMMRec and every sequential baseline) into an online service:
   incrementally on index refresh;
 * :class:`Recommender` — ``recommend(history, k)`` with argpartition
   top-k, seen-item exclusion and ANN/exact retrieval routing;
-* :class:`MicroBatcher` — size/timeout request coalescing + LRU cache;
+* :class:`MicroBatcher` — size/timeout request coalescing;
 * :class:`ModelRegistry` — many (dataset, model) scenarios, one process;
 * :class:`RecommendationService` + :mod:`~repro.serve.http` — the JSON
-  endpoint behind ``repro serve``, in-process or over a :class:`WorkerPool`;
+  endpoint behind ``repro serve``, with one LRU result cache per
+  scenario, in-process or over a :class:`WorkerPool`;
 * :mod:`~repro.serve.bench` — p50/p99/QPS measurement for
   ``repro bench-serve`` plus the recall@k-vs-QPS retrieval benchmark.
 

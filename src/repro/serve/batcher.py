@@ -8,11 +8,11 @@ the batch is full (*size* trigger) or the oldest request has waited
 ``max_wait_ms`` (*timeout* trigger). A manual-mode batcher
 (``start=False``) flushes whatever is queued when its owner calls
 :meth:`MicroBatcher.flush_batch` (*drain* trigger, or *size* for a full
-batch) — the pool workers' pipe loop drives it that way. Repeat users
-hit an LRU cache keyed on the history hash, the requested ``k`` and the
-catalogue index version, and never reach the model at all. A request
+batch) — the pool workers' pipe loop drives it that way. A request
 that fails inside a batch fails only itself: the batch is re-run one
-member at a time.
+member at a time. Answers are cached one level up, in the facade
+(:class:`~repro.serve.service.RecommendationService` keeps an
+:class:`LRUCache` per scenario), so only cache misses reach a batcher.
 
 A batcher lives as long as its scenario is served: a new generation
 retargets it with :meth:`MicroBatcher.swap`, so its queue and counters
@@ -45,13 +45,11 @@ class BatcherStats:
     size_flushes: int = 0
     timeout_flushes: int = 0
     drain_flushes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     largest_batch: int = 0
 
 
 class LRUCache:
-    """A small thread-safe LRU mapping request keys to recommendations."""
+    """A small thread-safe LRU mapping request keys to cached answers."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -78,15 +76,10 @@ class LRUCache:
                 self._data.popitem(last=False)
 
 
-def _request_key(history: np.ndarray, k: int, version: int) -> tuple:
-    return (history.tobytes(), int(k), int(version))
-
-
 @dataclass
 class _Pending:
     history: np.ndarray
     k: int
-    key: tuple
     enqueued: float = field(default_factory=time.monotonic)
     future: Future = field(default_factory=Future)
     # Trace-context handoff: the HTTP thread that submitted this request
@@ -108,14 +101,13 @@ class MicroBatcher:
     """
 
     def __init__(self, recommender: Recommender, max_batch: int = 32,
-                 max_wait_ms: float = 2.0, cache_size: int = 1024,
-                 start: bool = True, metrics_label: str | None = None):
+                 max_wait_ms: float = 2.0, start: bool = True,
+                 metrics_label: str | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.recommender = recommender
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
-        self.cache = LRUCache(cache_size)
         self.stats = BatcherStats()
         # BatcherStats stays the per-instance truth (tests and /stats
         # count one batcher generation); the registry instruments are
@@ -125,11 +117,6 @@ class MicroBatcher:
         self._m_requests = metrics.counter(
             "repro_serve_batcher_requests_total",
             "requests submitted to the micro-batcher", labels=scope)
-        self._m_cache = {
-            hit: metrics.counter("repro_serve_cache_total",
-                                 "LRU cache lookups by outcome",
-                                 labels={**scope, "outcome": hit})
-            for hit in ("hit", "miss")}
         self._m_batch_size = metrics.histogram(
             "repro_serve_batch_size", "requests coalesced per flush",
             labels=scope, start=1.0, factor=2 ** 0.25)
@@ -158,32 +145,15 @@ class MicroBatcher:
 
     def submit(self, history, k: int = 10) -> Future:
         """Enqueue one request; resolves to a :class:`Recommendation`."""
-        history = np.asarray(history, dtype=np.int64)
-        key = _request_key(history, k, self.recommender.index_version)
-        ctx = trace.current()
+        request = _Pending(history=np.asarray(history, dtype=np.int64), k=k,
+                           trace=trace.current())
+        if request.trace is not None:
+            request.enqueued_perf = time.perf_counter()
         with self._cond:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
             self.stats.requests += 1
             self._m_requests.inc()
-            # A stale index means the current version number still names
-            # the pre-update snapshot: bypass the cache so the flush
-            # rebuilds and the result is cached under the new version.
-            hit = (None if getattr(self.recommender, "index_stale", False)
-                   else self.cache.get(key))
-            if hit is not None:
-                self.stats.cache_hits += 1
-                self._m_cache["hit"].inc()
-                future: Future = Future()
-                future.set_result(Recommendation(
-                    items=hit.items, scores=hit.scores,
-                    index_version=hit.index_version, cached=True))
-                return future
-            self.stats.cache_misses += 1
-            self._m_cache["miss"].inc()
-            request = _Pending(history=history, k=k, key=key, trace=ctx)
-            if ctx is not None:
-                request.enqueued_perf = time.perf_counter()
             self._pending.append(request)
             self._cond.notify_all()
             return request.future
@@ -286,10 +256,6 @@ class MicroBatcher:
             result = Recommendation(items=result.items[:pending.k],
                                     scores=result.scores[:pending.k],
                                     index_version=result.index_version)
-        # Cache under the index version that actually produced the
-        # answer — a refresh may have landed after submit keyed it.
-        self.cache.put((pending.key[0], pending.k, result.index_version),
-                       result)
         if not pending.future.cancelled():
             pending.future.set_result(result)
 
@@ -342,15 +308,14 @@ class MicroBatcher:
     def swap(self, adopt: Callable[[], Recommender]) -> None:
         """Serve a new generation: the recommender ``adopt()`` returns.
 
-        Waits for the batch in flight, runs ``adopt`` while no batch can
-        start — a pool worker loads new weights into its resident model
-        there — then drops the LRU cache. Every later batch, including
-        requests already queued, runs on the new recommender; no batch
-        runs on the old one after this returns.
+        Waits for the batch in flight and runs ``adopt`` while no batch
+        can start — a pool worker loads new weights into its resident
+        model there. Every later batch, including requests already
+        queued, runs on the new recommender; no batch runs on the old one
+        after this returns.
         """
         with self._run_lock:
             self.recommender = adopt()
-            self.cache = LRUCache(self.cache.capacity)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -384,9 +349,9 @@ class BatcherTable:
     """
 
     def __init__(self, max_batch: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 1024, start: bool = True):
+                 start: bool = True):
         self._settings = {"max_batch": max_batch, "max_wait_ms": max_wait_ms,
-                          "cache_size": cache_size, "start": start}
+                          "start": start}
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._lock = threading.Lock()
         self._closed = False

@@ -49,7 +49,7 @@ def request_stream(dataset, count: int, seed: int = 0,
     """Sample request histories from a dataset's evaluation split.
 
     ``repeat_frac`` re-issues a fraction of earlier requests, modelling
-    repeat users (this is what the serving LRU cache feeds on).
+    repeat users (this is what the serving result cache feeds on).
     """
     rng = np.random.default_rng(seed)
     examples = dataset.split.test

@@ -17,7 +17,8 @@ old-or-new-ranks-only hot-swap contract (PR 5/6):
   is one thread whose pipe loop batches whatever is readable through
   its own manual-mode :class:`~repro.serve.batcher.BatcherTable` (see
   :func:`_worker_main`): batches grow with load, and a lone request
-  waits on no clock.
+  waits on no clock. Cache hits never get here: the facade answers
+  them in the parent.
 * Hot swaps run through a **generation fence**: the parent publishes
   the new generation's segment, sends a ``swap`` control message down
   every worker pipe, and waits for every live worker to ack before the
@@ -26,7 +27,10 @@ old-or-new-ranks-only hot-swap contract (PR 5/6):
   then :meth:`~repro.serve.batcher.MicroBatcher.swap` retargets the
   batcher and the ack goes out, so after the fence no batch runs on the
   old generation anywhere. No request is dropped, and no response ever
-  mixes generations.
+  mixes generations. While the ``swap`` messages are being written, a
+  request for that scenario waits until every pipe holds one, so a
+  request sent after an answer from the new generation is answered on
+  it too.
 * :class:`~repro.serve.service.RecommendationService` with
   ``workers=N`` is the facade over this pool; the HTTP front, the CLI
   and the streaming manager never see the difference.
@@ -285,12 +289,12 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
     One thread serves the pipe, and it never waits on a clock: it blocks
     for one message, drains every message already readable, and handles
     them in pipe order. A request joins its scenario's manual-mode
-    batcher (an LRU hit is answered at once). Whenever the drained
-    messages run out, or a control message comes next, every queued
-    request runs, one batch per scenario and ``max_batch``, and each
-    batch's replies go out as soon as that batch finishes. So a ``swap``
-    first answers every request read before it on the old generation.
-    Requests that arrive while a batch runs form the next batch.
+    batcher. Whenever the drained messages run out, or a control message
+    comes next, every queued request runs, one batch per scenario and
+    ``max_batch``, and each batch's replies go out as soon as that batch
+    finishes. So a ``swap`` first answers every request read before it
+    on the old generation. Requests that arrive while a batch runs form
+    the next batch.
     """
     try:
         parent_conn.close()        # our copy of the parent's pipe end
@@ -328,11 +332,8 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
             except Exception as exc:
                 reply(("err", req_id, type(exc).__name__, str(exc)))
                 continue
-            if future.done():
-                reply(_outcome(req_id, future))
-            else:
-                queued[future] = req_id
-                touched[batcher] = None
+            queued[future] = req_id
+            touched[batcher] = None
         for batcher in touched:
             while futures := batcher.flush_batch():
                 for future in futures:
@@ -438,7 +439,7 @@ class WorkerPool:
     """Fork N serving processes and dispatch requests/fences over pipes."""
 
     def __init__(self, registry: ModelRegistry, workers: int = 2,
-                 max_batch: int = 32, cache_size: int = 1024):
+                 max_batch: int = 32):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if len(registry) == 0:
@@ -446,13 +447,15 @@ class WorkerPool:
                             "registry")
         context = _fork_context()
         self.registry = registry
-        self._settings = {"max_batch": max_batch, "cache_size": cache_size}
+        self._settings = {"max_batch": max_batch}
         self._store = SharedCatalogStore()
         self._seq = itertools.count(1)
         self._rr = 0
         self._rr_lock = threading.Lock()
         self._fence_lock = threading.Lock()  # one fence at a time
         self._fence_state: dict = {"state": "idle"}
+        # Held by a fence while it writes one scenario's swap messages.
+        self._gates: dict[tuple[str, str], threading.Lock] = {}
         self._generation: dict[tuple[str, str], int] = {}
         self._segment: dict[tuple[str, str], str] = {}
         self._closed = False
@@ -602,8 +605,18 @@ class WorkerPool:
         """Dispatch one request; returns the worker's JSON payload.
 
         Requests are read-only and idempotent, so a request lost to a
-        worker death is transparently retried on another worker.
+        worker death is transparently retried on another worker. One
+        that times out is forgotten: a late reply to it is dropped.
         """
+        gate = self._gates.get(key)
+        if gate is not None:
+            # A fence is writing this scenario's swap messages: wait
+            # until every pipe holds one. A request sent after one
+            # worker answered on the new generation then reaches every
+            # other worker behind its swap, so it is never answered on
+            # the old one.
+            with gate:
+                pass
         attempts = max(2, len(self._workers) + 1)
         last_error: Exception | None = None
         for _ in range(attempts):
@@ -631,12 +644,16 @@ class WorkerPool:
                 last_error = exc
                 self._m_retries.inc()
                 continue
+            except TimeoutError:
+                with handle.lock:
+                    handle.pending.pop(req_id, None)
+                raise
         raise last_error or PoolError("no live pool workers")
 
     # -- control path --------------------------------------------------------
 
     def _control(self, handle: _WorkerHandle, kind: str,
-                 payload: tuple = ()) -> Future:
+                 payload: tuple = ()) -> tuple[str, Future]:
         token = f"c{next(self._seq)}"
         future: Future = Future()
         with handle.lock:
@@ -649,18 +666,45 @@ class WorkerPool:
         except (BrokenPipeError, OSError):
             self._mark_dead(handle)
             raise WorkerDied(f"pool worker {handle.id} died") from None
-        return future
+        return token, future
 
     def _broadcast(self, kind: str, payload: tuple = ()) -> list:
+        """Send one control message to every live worker.
+
+        Returns ``(handle, token, future)`` per worker it reached.
+        """
         waits = []
         for handle in self._workers:
             if not handle.alive:
                 continue
             try:
-                waits.append((handle, self._control(handle, kind, payload)))
+                waits.append((handle, *self._control(handle, kind, payload)))
             except WorkerDied:
                 continue
         return waits
+
+    @staticmethod
+    def _replies(waits: list, timeout: float) -> list:
+        """``(handle, reply)`` per wait, under one deadline for them all.
+
+        A worker that died reads as a :class:`WorkerDied` reply, one that
+        missed the deadline as a ``TimeoutError``; a timed-out future
+        also leaves its worker's control map, as nothing waits for it.
+        """
+        deadline = time.monotonic() + timeout
+        replies = []
+        for handle, token, future in waits:
+            try:
+                reply = future.result(
+                    timeout=max(deadline - time.monotonic(), 0.0))
+            except WorkerDied as exc:
+                reply = exc
+            except TimeoutError as exc:
+                with handle.lock:
+                    handle.control.pop(token, None)
+                reply = exc
+            replies.append((handle, reply))
+        return replies
 
     # -- generation fence ----------------------------------------------------
 
@@ -693,25 +737,20 @@ class WorkerPool:
             self._fence_state = {"state": "fencing",
                                  "scenario": f"{key[0]}:{key[1]}",
                                  "generation": generation}
-            waits = self._broadcast(
-                "swap", (key, generation, segment_name, version,
-                         scenario.dataset.num_items, model_changed))
+            with self._gates.setdefault(key, threading.Lock()):
+                waits = self._broadcast(
+                    "swap", (key, generation, segment_name, version,
+                             scenario.dataset.num_items, model_changed))
             acked, errors = 0, []
-            deadline = time.monotonic() + FENCE_TIMEOUT_S
-            for handle, future in waits:
-                remaining = max(deadline - time.monotonic(), 0.001)
-                try:
-                    error = future.result(timeout=remaining)
-                except WorkerDied:
+            for handle, reply in self._replies(waits, FENCE_TIMEOUT_S):
+                if isinstance(reply, WorkerDied):
                     continue               # dead workers cannot hold a fence
-                except TimeoutError:
-                    errors.append(f"worker {handle.id}: fence timeout")
-                    self._m_flip_errors.inc()
-                    continue
-                if error is None:
+                if isinstance(reply, TimeoutError):
+                    reply = "fence timeout"
+                if reply is None:
                     acked += 1
                 else:
-                    errors.append(f"worker {handle.id}: {error}")
+                    errors.append(f"worker {handle.id}: {reply}")
                     self._m_flip_errors.inc()
             fenced = time.perf_counter()
             old_segment = self._segment.get(key)
@@ -738,25 +777,21 @@ class WorkerPool:
     # -- introspection -------------------------------------------------------
 
     def stats(self, timeout: float = 10.0) -> dict:
-        waits: dict[int, Future] = {}
-        for handle in self._workers:
-            if handle.alive:
-                try:
-                    waits[handle.id] = self._control(handle, "stats")
-                except WorkerDied:
-                    pass
+        """Pool topology plus each worker's batcher counters.
+
+        Waits at most ``timeout`` in all for the workers' replies; a
+        worker that sends none is listed without ``scenarios``.
+        """
+        replies = {handle.id: reply for handle, reply in
+                   self._replies(self._broadcast("stats"), timeout)}
         per_worker = []
         for handle in self._workers:
             entry = {"worker": handle.id, "pid": handle.process.pid,
                      "alive": handle.alive, "requests": handle.requests,
                      "inflight": handle.inflight()}
-            future = waits.get(handle.id)
-            if future is not None:
-                try:
-                    data = future.result(timeout=timeout)
-                    entry["scenarios"] = data["scenarios"]
-                except (WorkerDied, TimeoutError):
-                    entry["alive"] = handle.alive
+            reply = replies.get(handle.id)
+            if isinstance(reply, dict):
+                entry["scenarios"] = reply["scenarios"]
             per_worker.append(entry)
         return {"mode": "pool", "workers": len(self._workers),
                 "alive": self.alive(), "generations": self.generations(),
@@ -764,15 +799,13 @@ class WorkerPool:
                 "per_worker": per_worker}
 
     def metrics(self, timeout: float = 10.0) -> list[dict]:
-        """One ``MetricsRegistry.collect()`` result per live worker."""
-        waits = self._broadcast("metrics")
-        families = []
-        for _, future in waits:
-            try:
-                families.append(future.result(timeout=timeout))
-            except (WorkerDied, TimeoutError):  # pragma: no cover - racing
-                continue
-        return families
+        """One ``MetricsRegistry.collect()`` result per replying worker.
+
+        Waits at most ``timeout`` in all, not per worker.
+        """
+        return [reply for _, reply in
+                self._replies(self._broadcast("metrics"), timeout)
+                if isinstance(reply, dict)]
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -780,16 +813,10 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        waits = []
         try:
-            waits = self._broadcast("stop")
+            self._replies(self._broadcast("stop"), 10.0)
         except Exception:  # pragma: no cover - teardown best effort
             pass
-        for _, future in waits:
-            try:
-                future.result(timeout=10.0)
-            except (WorkerDied, TimeoutError):
-                pass
         for handle in self._workers:
             handle.process.join(timeout=5.0)
             if handle.process.is_alive():  # pragma: no cover - hung worker

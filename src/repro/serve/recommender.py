@@ -66,21 +66,18 @@ class Recommendation:
     model scores. When exclusion leaves fewer than ``k`` candidates the
     answer is simply shorter than ``k`` — excluded/padding slots are
     never shipped. ``index_version`` identifies the catalogue snapshot
-    that produced the answer; ``cached`` is set by the micro-batcher
-    when the answer came from its LRU.
+    that produced the answer.
     """
 
     items: np.ndarray
     scores: np.ndarray
     index_version: int
-    cached: bool = field(default=False, compare=False)
 
     def to_json(self) -> dict:
         """JSON-serializable form used by the HTTP endpoint."""
         return {"items": [int(i) for i in self.items],
                 "scores": [float(s) for s in self.scores],
-                "index_version": self.index_version,
-                "cached": self.cached}
+                "index_version": self.index_version}
 
 
 @dataclass

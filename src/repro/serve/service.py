@@ -2,11 +2,14 @@
 
 :class:`RecommendationService` is what the HTTP endpoint, the CLI and
 the streaming manager talk to. It validates every request, records its
-latency and hands it to one dispatcher: a
+latency, answers repeats from one result cache per scenario, and hands
+every cache miss to one dispatcher: a
 :class:`~repro.serve.batcher.BatcherTable` in this process
 (``workers=0``) or a :class:`~repro.serve.pool.WorkerPool` whose forked
-workers each run their own table (``workers=N``). Every generation
-change goes through :meth:`RecommendationService.publish_generation`.
+workers each run their own table (``workers=N``). A cache hit is
+answered in the calling thread and never reaches a batcher or a pipe.
+Every generation change goes through
+:meth:`RecommendationService.publish_generation`.
 
 A streaming manager (``repro.stream``) can be attached to close the
 train→serve loop online: the service then accepts ``POST /events``
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 
 import numpy as np
 
 from ..obs import metrics, trace
-from .batcher import BatcherTable
+from .batcher import BatcherTable, LRUCache
 from .pool import WorkerPool
 from .registry import ModelRegistry, Scenario
 
@@ -32,7 +36,7 @@ __all__ = ["RecommendationService"]
 
 #: Per-scenario batcher counters summed across serving processes.
 _SUMMED = ("requests", "batches", "size_flushes", "timeout_flushes",
-           "drain_flushes", "cache_hits", "cache_misses", "queue_depth")
+           "drain_flushes", "queue_depth")
 
 #: The longest history a request may carry. Models encode only their
 #: last ``max_seq_len`` items, and the longest history the repo's own
@@ -66,7 +70,12 @@ def _checked_request(history, k, num_items: int) -> tuple[list[int], int]:
 
 
 def _merge_counters(per_process: list[dict]) -> dict:
-    """One ``/stats`` entry per scenario from per-process batcher counters."""
+    """One ``/stats`` entry per scenario from per-process batcher counters.
+
+    Batchers see only cache misses, so their ``requests`` give
+    ``mean_batch``; the facade then sets ``requests`` and the cache
+    counts from its own lookups.
+    """
     merged: dict[str, dict] = {}
     for scenarios in per_process:
         for name, counters in scenarios.items():
@@ -78,14 +87,48 @@ def _merge_counters(per_process: list[dict]) -> dict:
             entry["largest_batch"] = max(entry["largest_batch"],
                                          counters["largest_batch"])
     for entry in merged.values():
-        # Only cache misses go through a flushed batch.
-        entry["mean_batch"] = (entry["cache_misses"] / entry["batches"]
+        entry["mean_batch"] = (entry["requests"] / entry["batches"]
                                if entry["batches"] else 0.0)
     return merged
 
 
+class _ResultCache:
+    """One scenario's cached answers and the count of its lookups.
+
+    ``lru`` maps ``(history as int64 bytes, k)`` to ``(items, scores,
+    index_version)``, the answer packed into private ``array`` copies
+    (under half the memory of tuples of boxed numbers), never the lists
+    a caller received. It is ``None`` while a generation change of the
+    scenario is in flight, and a new empty one replaces it once the
+    change is published; the counts live as long as the service.
+    """
+
+    def __init__(self, label: str, capacity: int):
+        self.lru: LRUCache | None = LRUCache(capacity)
+        # This service's own counts feed /stats; the registry counters
+        # are the process-wide view of the same lookups on /metrics.
+        self._counts = {True: metrics.Counter("cache_hits"),
+                        False: metrics.Counter("cache_misses")}
+        self._m_lookups = {
+            hit: metrics.counter("repro_serve_cache_total",
+                                 "LRU cache lookups by outcome",
+                                 labels={"scenario": label,
+                                         "outcome": "hit" if hit else "miss"})
+            for hit in (True, False)}
+
+    def count(self, hit: bool) -> None:
+        self._counts[hit].inc()
+        self._m_lookups[hit].inc()
+
+    def counters(self) -> dict:
+        hits, misses = (int(self._counts[hit].value) for hit in (True, False))
+        return {"requests": hits + misses, "cache_hits": hits,
+                "cache_misses": misses}
+
+
 class RecommendationService:
-    """Validate, time and route requests to in-process or pooled batchers."""
+    """Validate, time, cache and route requests to in-process or pooled
+    batchers; ``cache_size`` is the result-cache capacity per scenario."""
 
     def __init__(self, registry: ModelRegistry, workers: int = 0,
                  max_batch: int = 32, max_wait_ms: float = 2.0,
@@ -103,12 +146,11 @@ class RecommendationService:
         self._batchers: BatcherTable | None = None
         if workers > 0:
             self.pool = WorkerPool(registry, workers=workers,
-                                   max_batch=max_batch,
-                                   cache_size=cache_size)
+                                   max_batch=max_batch)
         else:
             self._batchers = BatcherTable(max_batch=max_batch,
-                                          max_wait_ms=max_wait_ms,
-                                          cache_size=cache_size)
+                                          max_wait_ms=max_wait_ms)
+        self._caches: dict[tuple[str, str], _ResultCache] = {}
         # Serializes generation changes: the registry must end on the
         # generation the serving processes were swapped to last.
         self._publish_lock = threading.Lock()
@@ -132,11 +174,24 @@ class RecommendationService:
             self._latency[key] = hist
         return hist
 
+    def _cache(self, key: tuple[str, str]) -> _ResultCache:
+        cache = self._caches.get(key)
+        if cache is None:
+            cache = self._caches.setdefault(
+                key, _ResultCache(f"{key[0]}:{key[1]}", self.cache_size))
+        return cache
+
     # -- request API ---------------------------------------------------------
 
     def recommend(self, dataset: str, model: str, history,
                   k: int = 10) -> dict:
-        """Answer one request; returns the JSON payload for the endpoint."""
+        """Answer one request; returns the JSON payload for the endpoint.
+
+        A cached answer is served only when its ``index_version`` is the
+        one the scenario serves now, from an index that is not stale:
+        in-process that is the batcher's recommender; pooled, the
+        registry's, whose index ``/refresh`` bumps before the fence.
+        """
         if self._closed:
             raise RuntimeError("service is closed")
         start = time.perf_counter()
@@ -144,11 +199,37 @@ class RecommendationService:
         history, k = _checked_request(history, k,
                                       scenario.dataset.num_items)
         key = (dataset, model)
-        if self.pool is not None:
-            payload = self.pool.recommend(key, history, k)
+        if self.pool is None:
+            batcher = self._batchers.get(key, scenario.recommender)
+            serving = batcher.recommender
         else:
-            payload = self._batchers.get(key, scenario.recommender) \
-                .recommend(history, k=k).to_json()
+            serving = scenario.recommender
+        cache = self._cache(key)
+        lru = cache.lru
+        request = (array("q", history).tobytes(), k)
+        # A stale index still reports the version of the snapshot it is
+        # about to replace, so nothing cached may be served from it.
+        entry = (None if lru is None or serving.index_stale
+                 else lru.get(request))
+        if entry is not None and entry[2] == serving.index_version:
+            cache.count(hit=True)
+            payload = {"items": entry[0].tolist(),
+                       "scores": entry[1].tolist(),
+                       "index_version": entry[2], "cached": True}
+        else:
+            cache.count(hit=False)
+            if self.pool is not None:
+                payload = self.pool.recommend(key, history, k)
+            else:
+                payload = batcher.recommend(history, k=k).to_json()
+            payload["cached"] = False
+            if lru is not None:
+                # Into the cache it was looked up in, under the version
+                # that produced it: an answer from a generation being
+                # replaced never reaches its successor's cache.
+                lru.put(request, (array("q", payload["items"]),
+                                  array("d", payload["scores"]),
+                                  payload["index_version"]))
         elapsed = time.perf_counter() - start
         self._latency_hist(dataset, model).observe(elapsed)
         ctx = trace.current()
@@ -198,28 +279,38 @@ class RecommendationService:
         pool's generation fence, or its zero-worker case in-process —
         and only then does the registry publish the entry. Validation
         reads the registry and the catalogue only grows, so an item id
-        it accepts is always one the serving generation knows. Returns
-        ``publish_s`` / ``fence_s`` / ``drain_s`` timings and the worker
-        ack counts.
+        it accepts is always one the serving generation knows. The
+        scenario's result cache is off from before the fence until the
+        registry names the new generation, which then starts with an
+        empty one: pooled, workers flip one by one while the registry
+        still names the old generation, and a hit there could answer on
+        it after a flipped worker already answered on the new one.
+        Returns ``publish_s`` / ``fence_s`` / ``drain_s`` timings and
+        the worker ack counts.
         """
         key = scenario.spec.key
         with self._publish_lock:
             previous = self.registry.get(*key)
-            if self.pool is not None:
-                # Weights ride the segment only when the generation
-                # changed models (full swap); catalogue-only swaps reuse
-                # the workers' resident weights.
-                changed = previous.model is not scenario.model
-                info = self.pool.publish(scenario, model_changed=changed)
-            else:
-                tick = time.perf_counter()
-                self._batchers.get(key, scenario.recommender).swap(
-                    lambda: scenario.recommender)
-                info = {"workers": 0, "acked": 0, "errors": [],
-                        "publish_s": 0.0,
-                        "fence_s": time.perf_counter() - tick,
-                        "drain_s": 0.0}
-            self.registry.publish(scenario)
+            cache = self._cache(key)
+            cache.lru = None
+            try:
+                if self.pool is not None:
+                    # Weights ride the segment only when the generation
+                    # changed models (full swap); catalogue-only swaps
+                    # reuse the workers' resident weights.
+                    changed = previous.model is not scenario.model
+                    info = self.pool.publish(scenario, model_changed=changed)
+                else:
+                    tick = time.perf_counter()
+                    self._batchers.get(key, scenario.recommender).swap(
+                        lambda: scenario.recommender)
+                    info = {"workers": 0, "acked": 0, "errors": [],
+                            "publish_s": 0.0,
+                            "fence_s": time.perf_counter() - tick,
+                            "drain_s": 0.0}
+                self.registry.publish(scenario)
+            finally:
+                cache.lru = LRUCache(self.cache_size)
         return info
 
     # -- self-monitoring -----------------------------------------------------
@@ -286,6 +377,8 @@ class RecommendationService:
                         "per_worker": []}
             per_process = [self._batchers.counters()]
         per_scenario = _merge_counters(per_process)
+        for (d, m), cache in list(self._caches.items()):
+            per_scenario.setdefault(f"{d}:{m}", {}).update(cache.counters())
         for (d, m), hist in list(self._latency.items()):
             if hist.count:
                 per_scenario.setdefault(f"{d}:{m}", {})["latency_ms"] = \

@@ -35,11 +35,12 @@ The swap protocol (the part that makes "atomic" true):
    ``publish_partial`` fast path re-encoding *only new items* when the
    catalogue grew without a weight change. The ANN structure is fitted
    before publication, continuing the retired index's version sequence.
-5. ``service.publish_generation`` swaps every serving process's
-   micro-batcher onto the new generation — it waits out the batch in
-   flight, then runs every later batch (requests already queued
-   included) on the new model+index and drops the LRU cache — and only
-   then flips the registry entry on one dict assignment.
+5. ``service.publish_generation`` turns the scenario's result cache
+   off and swaps every serving process's micro-batcher onto the new
+   generation — it waits out the batch in flight, then runs every later
+   batch (requests already queued included) on the new model+index —
+   and only then flips the registry entry on one dict assignment and
+   gives the scenario an empty result cache.
 
 Requests therefore see old ranks or new ranks, never a mixture — and
 with the gate, never a *worse* generation than the tolerance allows.

@@ -186,13 +186,13 @@ GOLDEN_POOLED = {
     ("repro_pool_workers_total", ""): 2.0,
     # Worker-only series summed over both workers.
     ("repro_serve_batcher_requests_total", SCENARIO): 6.0,
+    ("repro_serve_batch_size_sum", SCENARIO): 6.0,
+    ("repro_serve_batch_size_count", SCENARIO): 6.0,
+    # Parent-only series.
     ("repro_serve_cache_total",
      '{outcome="hit",scenario="kwai_food:sasrec"}'): 0.0,
     ("repro_serve_cache_total",
      '{outcome="miss",scenario="kwai_food:sasrec"}'): 6.0,
-    ("repro_serve_batch_size_sum", SCENARIO): 6.0,
-    ("repro_serve_batch_size_count", SCENARIO): 6.0,
-    # Parent-only series.
     ("repro_serve_request_seconds_count", SCENARIO): 6.0,
     ("repro_http_requests_total",
      '{method="POST",path="/recommend",status="200"}'): 6.0,

@@ -1,5 +1,7 @@
-"""MicroBatcher: flush triggers, coalescing, LRU cache accounting, and
-request isolation — a request's outcome depends only on that request."""
+"""MicroBatcher: flush triggers, coalescing and request isolation — a
+request's outcome depends only on that request — plus the LRU class the
+serving facade caches answers in (its cache tests live in
+``test_result_cache.py``)."""
 
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ def histories(dataset):
 
 
 def test_flush_on_size_trigger(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=10_000.0,
-                      cache_size=0) as batcher:
+    with MicroBatcher(recommender, max_batch=4,
+                      max_wait_ms=10_000.0) as batcher:
         futures = [batcher.submit(h, k=3) for h in histories[:4]]
         results = [f.result(timeout=30) for f in futures]
     # The worker never had to wait out the clock: the 4th submit filled
@@ -33,8 +35,7 @@ def test_flush_on_size_trigger(recommender, histories):
 
 
 def test_flush_on_timeout_trigger(recommender, histories):
-    with MicroBatcher(recommender, max_batch=64, max_wait_ms=20.0,
-                      cache_size=0) as batcher:
+    with MicroBatcher(recommender, max_batch=64, max_wait_ms=20.0) as batcher:
         future = batcher.submit(histories[0], k=3)
         result = future.result(timeout=30)
     assert batcher.stats.timeout_flushes == 1
@@ -44,8 +45,7 @@ def test_flush_on_timeout_trigger(recommender, histories):
 
 
 def test_coalescing_batches_fewer_than_requests(recommender, histories):
-    with MicroBatcher(recommender, max_batch=6, max_wait_ms=50.0,
-                      cache_size=0) as batcher:
+    with MicroBatcher(recommender, max_batch=6, max_wait_ms=50.0) as batcher:
         futures = [batcher.submit(h, k=3) for h in histories]
         for future in futures:
             future.result(timeout=30)
@@ -54,49 +54,8 @@ def test_coalescing_batches_fewer_than_requests(recommender, histories):
     assert batcher.stats.largest_batch > 1
 
 
-def test_lru_cache_hit_and_miss_accounting(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
-        first = batcher.recommend(histories[0], k=3)
-        assert first.cached is False
-        again = batcher.recommend(histories[0], k=3)
-        assert again.cached is True
-        assert np.array_equal(first.items, again.items)
-        # Different k is a different request.
-        other_k = batcher.recommend(histories[0], k=2)
-        assert other_k.cached is False
-    assert batcher.stats.cache_hits == 1
-    assert batcher.stats.cache_misses == 2
-
-
-def test_stale_index_bypasses_cache_until_rebuilt(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
-        first = batcher.recommend(histories[0], k=3)
-        # Weight update: version number still names the old snapshot, so
-        # the cached answer must not be served.
-        recommender.index.mark_stale()
-        after = batcher.recommend(histories[0], k=3)
-        assert after.cached is False
-        assert after.index_version == first.index_version + 1
-        # Once rebuilt, caching resumes under the new version.
-        again = batcher.recommend(histories[0], k=3)
-        assert again.cached is True
-
-
-def test_cache_invalidated_by_index_refresh(recommender, histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
-        batcher.recommend(histories[0], k=3)
-        recommender.refresh()          # new index version => new cache keys
-        refreshed = batcher.recommend(histories[0], k=3)
-        assert refreshed.cached is False
-    assert batcher.stats.cache_hits == 0
-
-
 def test_manual_mode_flushes_inline(recommender, histories):
-    batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
-                           start=False)
+    batcher = MicroBatcher(recommender, max_batch=4, start=False)
     result = batcher.recommend(histories[0], k=3)
     assert np.array_equal(result.items,
                           recommender.recommend(histories[0], k=3).items)
@@ -105,8 +64,7 @@ def test_manual_mode_flushes_inline(recommender, histories):
 
 
 def test_mixed_k_batch_truncates_per_request(recommender, histories):
-    batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
-                           start=False)
+    batcher = MicroBatcher(recommender, max_batch=4, start=False)
     small = batcher.submit(histories[0], k=2)
     large = batcher.submit(histories[1], k=7)
     batcher.flush_pending()
@@ -124,8 +82,7 @@ def test_submit_after_close_raises(recommender, histories):
 
 
 def test_a_failing_request_fails_only_itself(recommender, histories):
-    batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
-                           start=False)
+    batcher = MicroBatcher(recommender, max_batch=4, start=False)
     good = [batcher.submit(h, k=3) for h in histories[:2]]
     # Invalid item id: recommend_batch raises inside the flush.
     bad = batcher.submit(np.array([10_000]), k=3)
@@ -143,8 +100,7 @@ def test_a_failing_request_fails_only_itself(recommender, histories):
 
 
 def test_manual_flushes_count_as_drain_not_timeout(recommender, histories):
-    batcher = MicroBatcher(recommender, max_batch=4, cache_size=0,
-                           start=False)
+    batcher = MicroBatcher(recommender, max_batch=4, start=False)
     futures = [batcher.submit(h, k=3) for h in histories[:6]]
     first = batcher.flush_batch()
     assert first == futures[:4]        # one batch, in arrival order
@@ -155,18 +111,6 @@ def test_manual_flushes_count_as_drain_not_timeout(recommender, histories):
     assert (batcher.stats.size_flushes, batcher.stats.drain_flushes,
             batcher.stats.timeout_flushes) == (1, 1, 0)
     batcher.close()
-
-
-def test_results_are_frozen_so_cache_cannot_be_corrupted(recommender,
-                                                         histories):
-    with MicroBatcher(recommender, max_batch=4, max_wait_ms=5.0,
-                      cache_size=8) as batcher:
-        first = batcher.recommend(histories[0], k=3)
-        with pytest.raises(ValueError):
-            first.items[0] = -1        # shared with the LRU: read-only
-        again = batcher.recommend(histories[0], k=3)
-        assert again.cached is True
-        assert np.array_equal(again.items, first.items)
 
 
 def test_lru_cache_eviction_order():
@@ -231,8 +175,7 @@ def test_any_mix_answers_every_request_as_if_alone(seed, num_items,
         elif kind == "poisoned":
             history[0] = _PoisonedTable.POISON
         histories.append(history)
-    batcher = MicroBatcher(recommender, max_batch=max_batch, cache_size=0,
-                           start=False)
+    batcher = MicroBatcher(recommender, max_batch=max_batch, start=False)
     futures = [batcher.submit(history, k=k)
                for history, (_, _, k) in zip(histories, requests)]
     batcher.flush_pending()

@@ -4,13 +4,15 @@ The pooled service must be indistinguishable from the in-process one at
 the API boundary: bitwise-identical rankings (workers score the *same*
 float32 matrices through shared memory), the same payload contract, the
 same error taxonomy across the process hop — plus pool-only extras
-(topology on ``/stats``, cross-process merged ``/metrics``).
+(topology on ``/stats``, cross-process merged ``/metrics``, cache hits
+answered in the parent, and a fence no client sees step backwards).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import urllib.request
 
 import pytest
@@ -61,14 +63,30 @@ def test_pooled_matches_in_process_bitwise(registry, pooled):
 
 
 def test_requests_spread_across_workers(registry, pooled):
-    history = _history(registry, "kwai_food", "sasrec")
-    for _ in range(6):
+    # Distinct histories: a repeat would be answered from the parent's
+    # cache and reach no worker.
+    for row in range(6):
+        history = _history(registry, "kwai_food", "sasrec", row=10 + row)
         pooled.recommend("kwai_food", "sasrec", history, k=5)
     per_worker = pooled.stats()["pool"]["per_worker"]
     assert len(per_worker) == 2
     # Round-robin: both workers served traffic (exact split depends on
     # how many earlier tests ran; >0 each is the invariant).
     assert all(w["requests"] > 0 for w in per_worker)
+
+
+def test_a_cache_hit_never_reaches_a_worker(registry, pooled):
+    history = _history(registry, "kwai_food", "sasrec", row=20)
+
+    def dispatched() -> list[int]:
+        return [w["requests"] for w in pooled.stats()["pool"]["per_worker"]]
+
+    first = pooled.recommend("kwai_food", "sasrec", history, k=5)
+    before = dispatched()
+    again = pooled.recommend("kwai_food", "sasrec", history, k=5)
+    assert (first["cached"], again["cached"]) == (False, True)
+    assert again["items"] == first["items"]
+    assert dispatched() == before
 
 
 def test_stats_reports_pool_topology(pooled):
@@ -165,3 +183,60 @@ def test_refresh_over_pool_bumps_every_worker(registry, pooled):
     payload = pooled.recommend("bili_food", "pmmrec-text", history, k=10)
     assert payload["items"] == [int(i) for i in expected.items]
     assert payload["index_version"] == version
+
+
+def test_a_client_never_steps_back_a_generation_during_a_fence(
+        monkeypatch):
+    """A fence stalled between its two swap writes holds back requests
+    for its scenario only, so one sequential client reads versions that
+    never decrease: worker 0 already answers on the new generation while
+    worker 1's pipe has no swap yet."""
+    registry = ModelRegistry(profile="smoke", dtype="float32")
+    registry.add_all("kwai_food:sasrec,bili_food:pmmrec-text")
+    service = RecommendationService(registry, workers=2, cache_size=0)
+    written, go = threading.Event(), threading.Event()
+    control = service.pool._control
+
+    def stalled(handle, kind, payload=()):
+        sent = control(handle, kind, payload)
+        if kind == "swap" and handle.id == 0:
+            written.set()
+            go.wait(timeout=30)
+        return sent
+
+    monkeypatch.setattr(service.pool, "_control", stalled)
+    histories = [_history(registry, "kwai_food", "sasrec", row)
+                 for row in range(4)]
+    versions: list[int] = []
+
+    def client() -> None:
+        for history in histories * 3:
+            payload = service.recommend("kwai_food", "sasrec", history, k=5)
+            versions.append(payload["index_version"])
+            if len(versions) == 4:
+                go.set()               # enough answers read mid-fence
+
+    try:
+        old = registry.get("kwai_food", "sasrec").recommender.index_version
+        fence = threading.Thread(target=service.refresh,
+                                 args=("kwai_food", "sasrec"))
+        fence.start()
+        assert written.wait(timeout=30)
+        # Another scenario's requests never wait for this fence.
+        service.recommend("bili_food", "pmmrec-text",
+                          _history(registry, "bili_food", "pmmrec-text"),
+                          k=5)
+        assert fence.is_alive()
+        reader = threading.Thread(target=client)
+        reader.start()
+        reader.join(timeout=0.3)
+        go.set()
+        reader.join(timeout=30)
+        fence.join(timeout=30)
+        assert not reader.is_alive() and not fence.is_alive()
+    finally:
+        go.set()
+        service.close()
+    assert len(versions) == 12
+    assert versions == sorted(versions), versions
+    assert versions[-1] == old + 1

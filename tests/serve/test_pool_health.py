@@ -1,10 +1,13 @@
-"""Fault injection: killed pool workers must surface on /health.
+"""Fault injection: killed pool workers must surface on /health, and
+hung ones must cost a caller no more than its own timeout.
 
 Each test builds its own pool (never the shared module fixture used by
 test_pool.py) because the whole point is to damage it: SIGKILL a worker
 process, then assert the self-monitor flips within one sampling
 interval, names the right rule, keeps serving through rebalancing, and
-resolves once the death ages out of the rule window.
+resolves once the death ages out of the rule window. SIGSTOP both
+workers, and a timed-out request, ``stats`` or ``metrics`` call leaves
+nothing behind and waits one timeout in all, not one per worker.
 """
 
 from __future__ import annotations
@@ -133,3 +136,35 @@ def test_clean_shutdown_never_counts_as_worker_death():
     # close() marks every handle dead, but that sweep must not read as
     # a health event — the pool_worker_death rule watches this counter.
     assert deaths.value == before
+
+
+@pytest.fixture()
+def hung(pooled):
+    """The pooled service with both workers stopped; resumed at teardown."""
+    pids = [handle.process.pid for handle in pooled.pool._workers]
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)
+    try:
+        yield pooled
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGCONT)
+
+
+def test_a_timed_out_request_is_not_left_inflight(hung):
+    pool = hung.pool
+    with pytest.raises(TimeoutError):
+        pool.recommend(("kwai_food", "sasrec"), _history(hung), 5,
+                       timeout=0.3)
+    per_worker = pool.stats(timeout=0.3)["per_worker"]
+    assert [worker["inflight"] for worker in per_worker] == [0, 0]
+
+
+def test_stats_and_metrics_wait_one_timeout_for_hung_workers(hung):
+    pool = hung.pool
+    for call in (pool.stats, pool.metrics):
+        tick = time.monotonic()
+        call(timeout=0.5)
+        assert time.monotonic() - tick < 0.8, call.__name__
+    # The timed-out control replies are forgotten, not left waiting.
+    assert [len(handle.control) for handle in pool._workers] == [0, 0]

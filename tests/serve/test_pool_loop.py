@@ -64,7 +64,7 @@ def _worker(registry, messages: list, store: pool.SharedCatalogStore,
     process = context.Process(
         target=pool._worker_main,
         args=(0, child_conn, parent_conn, registry, boot,
-              {"max_batch": max_batch, "cache_size": 0}), daemon=True)
+              {"max_batch": max_batch}), daemon=True)
     process.start()
     child_conn.close()
     try:

@@ -6,8 +6,10 @@ threads hammer ``service.recommend`` while the fine-tune worker
 publishes new generations. Every response must be exactly the answer of
 one complete generation — the old one or a new one, identified by its
 ``index_version`` — never a mixture (new model scored against a stale
-index, or vice versa), and the request/response accounting must balance
-to zero drops even though batchers are being swapped mid-flight.
+index, or vice versa), no client reads an older version after a newer
+one, and the request/response accounting must balance to zero drops
+even though batchers are being swapped mid-flight. The services run
+with the default result cache, so most repeats are cache hits.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ def test_swap_under_load_serves_whole_generations_only(stressed):
     responses: list = []
     errors: list = []
     submitted = [0] * THREADS
+    seen = [[] for _ in range(THREADS)]      # versions, per client
     swapped = threading.Event()
     reports = []
 
@@ -115,6 +118,7 @@ def test_swap_under_load_serves_whole_generations_only(stressed):
                     "kwai_food", "pmmrec-text",
                     [int(i) for i in history], k=K)
                 responses.append((history.tobytes(), payload))
+                seen[thread_id].append(payload["index_version"])
         except Exception as exc:  # noqa: BLE001 - checked in main thread
             errors.append(exc)
 
@@ -158,6 +162,9 @@ def test_swap_under_load_serves_whole_generations_only(stressed):
     # The swap landed mid-traffic: at least the new generation served
     # (old-generation responses depend on timing and may be few).
     assert version_b in served_versions
+    # No client read the old generation after the new one.
+    for versions in seen:
+        assert versions == sorted(versions), versions
 
 
 @pytest.fixture()
@@ -207,6 +214,7 @@ def test_pooled_swap_under_load_zero_drops_whole_generations(pool_stressed):
     responses: list = []
     errors: list = []
     submitted = [0] * POOL_THREADS
+    seen = [[] for _ in range(POOL_THREADS)]  # versions, per client
     swapped = threading.Event()
     reports = []
 
@@ -231,6 +239,7 @@ def test_pooled_swap_under_load_zero_drops_whole_generations(pool_stressed):
                     "kwai_food", "pmmrec-text",
                     [int(i) for i in history], k=K)
                 responses.append((history.tobytes(), payload))
+                seen[thread_id].append(payload["index_version"])
         except Exception as exc:  # noqa: BLE001 - checked in main thread
             errors.append(exc)
 
@@ -269,6 +278,10 @@ def test_pooled_swap_under_load_zero_drops_whole_generations(pool_stressed):
         assert payload["items"] == [int(i) for i in expected_items], \
             f"mixed-generation answer at v{version}"
     assert version_b in served_versions
+    # No client read the old generation after the new one, though the
+    # workers flip one after the other.
+    for versions in seen:
+        assert versions == sorted(versions), versions
     # Both generations' answers came from pool workers; all still alive.
     assert service.pool.alive() == 2
 
