@@ -121,15 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--max-batch", type=int, default=32)
     stream.add_argument("--max-wait-ms", type=float, default=2.0,
                         help="micro-batch flush timeout, in-process tier "
-                             "only; pool workers (--workers N) run what "
+                             "(--workers 0) only; pool workers run what "
                              "their pipe holds at once")
     stream.add_argument("--cache-size", type=int, default=1024)
     stream.add_argument("--no-exclude-seen", action="store_true")
     stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--workers", type=int, default=0,
-                        help="worker processes for the multi-process serving "
-                             "tier (0 = in-process); hot swaps fence every "
-                             "worker onto the new generation")
+    stream.add_argument("--workers", type=int, default=1,
+                        help="worker processes that run the model pass "
+                             "(default 1); the learner, the HTTP front and "
+                             "the result cache stay in this process, and "
+                             "hot swaps fence every worker onto the new "
+                             "generation. 0 serves in-process, behind the "
+                             "--max-wait-ms batching timer")
     stream.add_argument("--stream-batch-size", type=int, default=16,
                         help="replayed histories per fine-tune step")
     stream.add_argument("--stream-lr", type=float, default=5e-4,
@@ -164,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--shadow-log", default=None,
                         help="JSONL file for shadow-mode rank diffs")
     stream.add_argument("--smoke", action="store_true",
-                        help="in-process: ingest events over HTTP, "
-                             "fine-tune, hot-swap, verify, exit (CI)")
+                        help="ingest events over HTTP, fine-tune, "
+                             "hot-swap, verify, exit (CI)")
     _add_retrieval_args(stream)
     _add_obs_args(stream)
 
@@ -384,7 +387,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _build_service(args):
-    from .serve import ModelRegistry, RecommendationService
+    """The service the flags describe, or None (refusal on stderr)."""
+    from .serve import ModelRegistry, PoolError, RecommendationService
     registry = ModelRegistry(profile=args.profile, dtype=args.dtype,
                              exclude_seen=not args.no_exclude_seen,
                              retrieval=args.retrieval,
@@ -403,13 +407,19 @@ def _build_service(args):
     # Build the service (and fork its pool) before anything starts
     # threads (HTTP server, stream fine-tune workers): forked children
     # must never inherit a parent thread's locks mid-flight.
-    service = RecommendationService(registry, workers=workers,
-                                    max_batch=args.max_batch,
-                                    max_wait_ms=args.max_wait_ms,
-                                    cache_size=args.cache_size)
+    try:
+        service = RecommendationService(registry, workers=workers,
+                                        max_batch=args.max_batch,
+                                        max_wait_ms=args.max_wait_ms,
+                                        cache_size=args.cache_size)
+    except PoolError as exc:
+        print(f"repro {args.command}: {exc}; pass --workers 0 to serve "
+              "in-process", file=sys.stderr)
+        return None
     if workers > 0:
-        print(f"worker pool: {workers} processes "
-              f"(shared-memory catalogues, generation-fenced swaps)")
+        print(f"worker pool: {workers} "
+              f"process{'es' if workers > 1 else ''} "
+              f"(memfd catalogues, generation-fenced swaps)")
     return service
 
 
@@ -438,6 +448,8 @@ def _enable_monitoring(service, args) -> None:
 def _cmd_serve(args) -> int:
     from .serve import make_server, serve_forever
     service = _build_service(args)
+    if service is None:
+        return 2
     _configure_obs(args)
     _enable_monitoring(service, args)
     if not args.smoke:
@@ -511,6 +523,8 @@ def _cmd_stream(args) -> int:
     from .serve import make_server, serve_forever
     from .stream import StreamManager, run_stream_smoke
     service = _build_service(args)
+    if service is None:
+        return 2
     # Smoke mode drives the fine-tune worker synchronously so the
     # ingest → steps → swap → verify sequence is deterministic; the
     # live service runs the background worker threads.

@@ -32,7 +32,8 @@ from .bench import (BenchReport, KeepAliveClient, RetrievalReport,
                     synthetic_catalog, synthetic_queries)
 from .http import RecommendationServer, make_server, serve_forever
 from .index import CatalogIndex, FrozenCatalogIndex
-from .pool import PoolError, SharedCatalogStore, WorkerDied, WorkerPool
+from .pool import (PoolError, PoolUnavailable, SharedCatalogStore,
+                   WorkerDied, WorkerPool)
 from .recommender import Recommendation, Recommender, RetrievalStats
 from .registry import ModelRegistry, Scenario, ScenarioSpec, build_model
 from .scoring import (batch_scorer, encode_queries, model_max_len,
@@ -48,7 +49,7 @@ __all__ = [
     "MicroBatcher", "LRUCache", "BatcherStats", "BatcherTable",
     "ModelRegistry", "Scenario", "ScenarioSpec", "build_model",
     "RecommendationService", "WorkerPool", "SharedCatalogStore",
-    "PoolError", "WorkerDied",
+    "PoolError", "PoolUnavailable", "WorkerDied",
     "RecommendationServer", "make_server", "serve_forever",
     "BenchReport", "bench_topk_path", "bench_full_sort_path",
     "compare_paths", "render_comparison", "request_stream",

@@ -47,7 +47,8 @@ Endpoint contract (all bodies JSON):
 Errors come back as ``{"error": <message>}`` with status 400 (bad
 request), 404 (unknown route/scenario), 413 (a body over
 :data:`MAX_BODY_BYTES`, answered without reading it, after which the
-connection is closed) or 500 — the same on every serving tier, since one
+connection is closed), 503 (no live pool worker could answer; with
+``Retry-After``) or 500 — the same on every serving tier, since one
 service validates every request. Unexpected failures additionally carry
 ``"error_type"`` (the exception class) and the full traceback is logged
 server-side — the client gets a well-formed JSON 500, never a hung
@@ -65,6 +66,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 from ..obs import metrics, trace
+from .pool import PoolUnavailable
 from .service import RecommendationService
 
 __all__ = ["RecommendationServer", "make_server", "serve_forever",
@@ -104,16 +106,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- helpers -------------------------------------------------------------
 
-    def _send(self, payload: dict | list, status: int = 200) -> None:
+    def _send(self, payload: dict | list, status: int = 200,
+              headers: tuple = ()) -> None:
         body = json.dumps(payload).encode()
-        self._send_bytes(body, "application/json", status)
+        self._send_bytes(body, "application/json", status, headers)
 
     def _send_bytes(self, body: bytes, content_type: str,
-                    status: int = 200) -> None:
+                    status: int = 200, headers: tuple = ()) -> None:
         self._count(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -302,6 +307,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(str(exc.args[0]) if exc.args else str(exc), 404)
         except (ValueError, TypeError) as exc:
             self._error(str(exc), 400)
+        except PoolUnavailable as exc:
+            # An outage, not a bug: /health says which, so no traceback.
+            self._send({"error": str(exc)}, status=503,
+                       headers=(("Retry-After", "1"),))
         except Exception as exc:  # noqa: BLE001 - boundary of the server
             self._internal_error(exc)
 

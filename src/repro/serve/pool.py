@@ -5,12 +5,13 @@ saturate a core while the GIL serializes everything around them. This
 module scales ``/recommend`` across cores without giving up the
 old-or-new-ranks-only hot-swap contract (PR 5/6):
 
-* :class:`SharedCatalogStore` owns ``multiprocessing.shared_memory``
-  segments. Each segment carries a tiny JSON layout header followed by
-  64-byte-aligned arrays — the catalogue matrix of one generation,
-  plus (for full swaps) the model's state dict — so workers map them
-  as zero-copy read-only ``np.ndarray`` views. The parent creates and
-  unlinks; workers only attach.
+* :class:`SharedCatalogStore` writes each generation into an anonymous
+  ``memfd`` file: a tiny JSON layout header followed by 64-byte-aligned
+  arrays — the catalogue matrix of one generation, plus (for full
+  swaps) the model's state dict — so workers map it as zero-copy
+  read-only ``np.ndarray`` views. A segment has no name in any
+  filesystem and no tracker process: it lives as long as a descriptor
+  or a mapping of it, so it cannot outlive the processes serving it.
 * :class:`WorkerPool` forks N worker processes (fork, not spawn: the
   registry's datasets and models transfer by copy-on-write page, never
   by pickle) and dispatches requests over per-worker pipes. Each worker
@@ -20,13 +21,14 @@ old-or-new-ranks-only hot-swap contract (PR 5/6):
   waits on no clock. Cache hits never get here: the facade answers
   them in the parent.
 * Hot swaps run through a **generation fence**: the parent publishes
-  the new generation's segment, sends a ``swap`` control message down
-  every worker pipe, and waits for every live worker to ack before the
-  old segment is unlinked. A worker handles its pipe in order: every
-  request read before the ``swap`` is answered on the old generation,
-  then :meth:`~repro.serve.batcher.MicroBatcher.swap` retargets the
-  batcher and the ack goes out, so after the fence no batch runs on the
-  old generation anywhere. No request is dropped, and no response ever
+  the new generation's segment, sends a ``swap`` control message and
+  the segment's descriptor down every worker pipe, and waits for every
+  live worker to ack before it closes the old segment's descriptor. A
+  worker handles its pipe in order: every request read before the
+  ``swap`` is answered on the old generation, then
+  :meth:`~repro.serve.batcher.MicroBatcher.swap` retargets the batcher
+  and the ack goes out, so after the fence no batch runs on the old
+  generation anywhere. No request is dropped, and no response ever
   mixes generations. While the ``swap`` messages are being written, a
   request for that scenario waits until every pipe holds one, so a
   request sent after an answer from the new generation is answered on
@@ -35,25 +37,26 @@ old-or-new-ranks-only hot-swap contract (PR 5/6):
   ``workers=N`` is the facade over this pool; the HTTP front, the CLI
   and the streaming manager never see the difference.
 
-Requires POSIX ``fork`` and scenarios whose models expose
-``encode_catalog`` (there is no matrix to share otherwise). Workers
-must be forked *before* any thread the parent will rely on (HTTP
-server, fine-tune workers) — the CLI and benches order construction
-accordingly.
+Requires Linux (``fork`` and ``memfd_create``) and scenarios whose
+models expose ``encode_catalog`` (there is no matrix to share
+otherwise). Workers must be forked *before* any thread the parent will
+rely on (HTTP server, fine-tune workers) — the CLI and benches order
+construction accordingly.
 """
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import itertools
 import json
+import mmap
 import os
-import re
-import secrets
 import struct
 import threading
 import time
 from concurrent.futures import Future
-from multiprocessing import shared_memory
+from multiprocessing import reduction
 
 import numpy as np
 
@@ -63,7 +66,8 @@ from .index import FrozenCatalogIndex
 from .recommender import Recommender
 from .registry import ModelRegistry, Scenario
 
-__all__ = ["PoolError", "WorkerDied", "SharedCatalogStore", "WorkerPool"]
+__all__ = ["PoolError", "PoolUnavailable", "WorkerDied",
+           "SharedCatalogStore", "WorkerPool"]
 
 #: How long a generation fence waits for the workers' acks.
 FENCE_TIMEOUT_S = 60.0
@@ -77,20 +81,22 @@ class WorkerDied(PoolError):
     """A request or control exchange was lost to a worker process death."""
 
 
+class PoolUnavailable(PoolError):
+    """No live pool worker could answer a request (HTTP 503)."""
+
+
 def _fork_context():
     import multiprocessing
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-        raise PoolError("the multi-process serving tier requires the "
-                        "'fork' start method (POSIX only)") from exc
+    if not hasattr(os, "memfd_create"):  # pragma: no cover - not Linux
+        raise PoolError("the multi-process serving tier requires Linux "
+                        "(fork and memfd_create)")
+    return multiprocessing.get_context("fork")
 
 
 # -- shared-memory segments ---------------------------------------------------
 
 _ALIGN = 64
 _HEADER_LEN = struct.Struct("<Q")
-_TAG_RE = re.compile(r"[^A-Za-z0-9_.-]+")
 
 
 def _aligned(offset: int) -> int:
@@ -98,7 +104,7 @@ def _aligned(offset: int) -> int:
 
 
 class SharedCatalogStore:
-    """Create, name and unlink the shared segments of one serving parent.
+    """Write and hold the generation segments of one serving parent.
 
     Segment layout: an 8-byte little-endian header length, a JSON header
     ``{"arrays": [{"name", "dtype", "shape", "offset", "nbytes"}, ...]}``
@@ -106,22 +112,20 @@ class SharedCatalogStore:
     array payloads. Readers recompute the data start from the header
     length, so the header needs no self-referential offsets.
 
-    The parent process owns every segment's lifetime: :meth:`publish`
-    creates, :meth:`unlink` (per generation) and :meth:`close` (on
-    shutdown) remove the ``/dev/shm`` names. Workers :meth:`attach`
-    read-only and immediately unregister from the resource tracker —
-    on this python version attachers register too, and a worker exit
-    would otherwise unlink a segment the parent still serves from.
+    A segment is an anonymous ``memfd`` file, which the kernel frees
+    once its last descriptor and mapping are gone. The store holds one
+    descriptor per segment from :meth:`publish` until :meth:`release`
+    (per generation) or :meth:`close` (on shutdown). Workers get theirs
+    by fork or over their pipe, and :meth:`attach` maps it read-only and
+    closes it at once.
     """
 
-    def __init__(self, prefix: str | None = None):
-        self.prefix = prefix or f"repro-{os.getpid()}-{secrets.token_hex(3)}"
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._seq = itertools.count(1)
+    def __init__(self):
+        self._fds: set[int] = set()
         self._lock = threading.Lock()
 
-    def publish(self, tag: str, arrays: dict[str, np.ndarray]) -> str:
-        """Write ``arrays`` into a fresh segment; returns its name."""
+    def publish(self, tag: str, arrays: dict[str, np.ndarray]) -> int:
+        """Write ``arrays`` into a fresh segment; returns its descriptor."""
         clean: list[tuple[str, np.ndarray]] = [
             (name, np.ascontiguousarray(arr)) for name, arr in arrays.items()]
         entries, cursor = [], 0
@@ -134,72 +138,59 @@ class SharedCatalogStore:
         header = json.dumps({"arrays": entries}).encode()
         data_start = _aligned(_HEADER_LEN.size + len(header))
         total = max(data_start + cursor, 1)
-        short_tag = _TAG_RE.sub("-", tag)[:48]
-        name = f"{self.prefix}-{next(self._seq)}-{short_tag}"
-        segment = shared_memory.SharedMemory(name=name, create=True,
-                                             size=total)
-        segment.buf[:_HEADER_LEN.size] = _HEADER_LEN.pack(len(header))
-        segment.buf[_HEADER_LEN.size:_HEADER_LEN.size + len(header)] = header
-        for (_, arr), entry in zip(clean, entries):
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=segment.buf,
-                              offset=data_start + entry["offset"])
-            view[...] = arr
-            del view               # release the buffer export before close
+        # The name only labels the descriptor in /proc/<pid>/fd.
+        fd = os.memfd_create(f"repro-{tag}"[:64])
+        try:
+            os.ftruncate(fd, total)
+            with mmap.mmap(fd, total) as segment:
+                _HEADER_LEN.pack_into(segment, 0, len(header))
+                segment[_HEADER_LEN.size:_HEADER_LEN.size + len(header)] = \
+                    header
+                for (_, arr), entry in zip(clean, entries):
+                    view = np.ndarray(arr.shape, dtype=arr.dtype,
+                                      buffer=segment,
+                                      offset=data_start + entry["offset"])
+                    view[...] = arr
+                    del view       # release the buffer export before close
+        except BaseException:
+            os.close(fd)
+            raise
         with self._lock:
-            self._segments[name] = segment
-        return name
+            self._fds.add(fd)
+        return fd
 
     @staticmethod
-    def attach(name: str) -> tuple[shared_memory.SharedMemory,
-                                   dict[str, np.ndarray]]:
-        """Map a segment read-only; returns the handle and its arrays.
-
-        Workers are forked, so they share the parent's resource_tracker
-        process: the attach-side ``register`` this SharedMemory() call
-        performs lands in the tracker's set-based cache where the
-        creator's entry already sits — a no-op. The creator's
-        ``unlink()`` is the one balanced unregister; do NOT unregister
-        here or the shared cache loses the entry early and the real
-        unlink trips a KeyError inside the tracker.
-        """
-        segment = shared_memory.SharedMemory(name=name)
-        (header_len,) = _HEADER_LEN.unpack_from(segment.buf, 0)
-        raw = bytes(segment.buf[_HEADER_LEN.size:_HEADER_LEN.size
-                                + header_len])
-        entries = json.loads(raw.decode())["arrays"]
+    def attach(fd: int) -> tuple[mmap.mmap, dict[str, np.ndarray]]:
+        """Map a segment read-only and close ``fd``; returns the map and
+        its arrays (read-only views)."""
+        try:
+            segment = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+        (header_len,) = _HEADER_LEN.unpack_from(segment, 0)
+        entries = json.loads(segment[_HEADER_LEN.size:_HEADER_LEN.size
+                                     + header_len])["arrays"]
         data_start = _aligned(_HEADER_LEN.size + header_len)
-        views: dict[str, np.ndarray] = {}
-        for entry in entries:
-            view = np.ndarray(tuple(entry["shape"]),
-                              dtype=np.dtype(entry["dtype"]),
-                              buffer=segment.buf,
-                              offset=data_start + entry["offset"])
-            view.flags.writeable = False
-            views[entry["name"]] = view
-        return segment, views
+        return segment, {
+            entry["name"]: np.ndarray(tuple(entry["shape"]),
+                                      dtype=np.dtype(entry["dtype"]),
+                                      buffer=segment,
+                                      offset=data_start + entry["offset"])
+            for entry in entries}
 
-    def unlink(self, name: str) -> None:
-        """Remove one segment's ``/dev/shm`` name (worker maps persist)."""
+    def release(self, fd: int) -> None:
+        """Close one segment's descriptor (worker maps persist)."""
         with self._lock:
-            segment = self._segments.pop(name, None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - parent holds no views
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def segments(self) -> list[str]:
-        with self._lock:
-            return list(self._segments)
+            if fd not in self._fds:
+                return
+            self._fds.remove(fd)
+        os.close(fd)
 
     def close(self) -> None:
-        for name in self.segments():
-            self.unlink(name)
+        with self._lock:
+            fds, self._fds = self._fds, set()
+        for fd in fds:
+            os.close(fd)
 
 
 # -- worker-process side ------------------------------------------------------
@@ -239,16 +230,17 @@ class _WorkerScenario:
         self.segment = None
         self.generation = 0
 
-    def adopt(self, registry: ModelRegistry, segment_name: str, version: int,
+    def adopt(self, registry: ModelRegistry, fd: int, version: int,
               num_items: int, generation: int,
               model_changed: bool) -> Recommender:
         """Map one generation's segment and build its recommender.
 
         Full-swap weights load into the resident model in place, so
         this runs inside :meth:`MicroBatcher.swap`, while no batch does.
-        The caller closes the previous segment once the swap is done.
+        ``fd`` is closed here; the caller closes the previous segment
+        once the swap is done.
         """
-        segment, views = SharedCatalogStore.attach(segment_name)
+        segment, views = SharedCatalogStore.attach(fd)
         dataset = _DatasetView(self.base_dataset, num_items)
         index = FrozenCatalogIndex(views["catalog"], version=version,
                                    num_items=num_items)
@@ -269,8 +261,8 @@ def _close_segment(segment) -> None:
     try:
         segment.close()
     except BufferError:  # pragma: no cover - lingering view
-        # Something still borrows the buffer; the parent already
-        # unlinked the name, so the pages die with the process.
+        # Something still borrows the buffer; the map goes with the
+        # last view of it.
         pass
 
 
@@ -294,7 +286,8 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
     ``max_batch``, and each batch's replies go out as soon as that batch
     finishes. So a ``swap`` first answers every request read before it
     on the old generation. Requests that arrive while a batch runs form
-    the next batch.
+    the next batch. The worker inherits its boot segments' descriptors
+    at fork; each later generation's arrives right behind its ``swap``.
     """
     try:
         parent_conn.close()        # our copy of the parent's pipe end
@@ -339,19 +332,28 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
                 for future in futures:
                     reply(_outcome(queued.pop(future), future))
 
+    def receive():
+        message = conn.recv()
+        if message[0] == "swap":
+            # The new segment's descriptor follows its message on the
+            # pipe, outside the pickle stream: take it before reading
+            # on, or its byte would be read as the next message.
+            message += (reduction.recv_handle(conn),)
+        return message
+
     def control(message) -> bool:
         """Handle one control message; False once the pool says stop."""
         kind = message[0]
         if kind == "swap":
-            (_, token, key, generation, segment_name, version, num_items,
-             model_changed) = message
+            (_, token, key, generation, version, num_items, model_changed,
+             fd) = message
             key = tuple(key)
             state = states[key]
             previous = state.segment
             error = None
             try:
                 table.get(key).swap(lambda: state.adopt(
-                    registry, segment_name, version, num_items, generation,
+                    registry, fd, version, num_items, generation,
                     model_changed))
                 _close_segment(previous)
             except Exception as exc:
@@ -374,9 +376,9 @@ def _worker_main(worker_id: int, conn, parent_conn, registry: ModelRegistry,
     running = True
     while running:
         try:
-            messages = [conn.recv()]
+            messages = [receive()]
             while conn.poll(0):
-                messages.append(conn.recv())
+                messages.append(receive())
         except (EOFError, OSError):        # parent died or closed us out
             break
         requests: list = []
@@ -445,6 +447,13 @@ class WorkerPool:
         if len(registry) == 0:
             raise PoolError("cannot start a worker pool over an empty "
                             "registry")
+        # Every scenario is checked before any segment is published.
+        for scenario in registry:
+            if scenario.recommender.index is None:
+                raise PoolError(
+                    f"scenario {scenario.spec.dataset}:{scenario.spec.model} "
+                    "has no catalogue index; the worker pool can only serve "
+                    "indexed models (encode_catalog protocol)")
         context = _fork_context()
         self.registry = registry
         self._settings = {"max_batch": max_batch}
@@ -457,25 +466,10 @@ class WorkerPool:
         # Held by a fence while it writes one scenario's swap messages.
         self._gates: dict[tuple[str, str], threading.Lock] = {}
         self._generation: dict[tuple[str, str], int] = {}
-        self._segment: dict[tuple[str, str], str] = {}
+        # The descriptor of each scenario's serving segment.
+        self._segment: dict[tuple[str, str], int] = {}
         self._closed = False
-        boot: dict[tuple[str, str], dict] = {}
-        for scenario in registry:
-            index = scenario.recommender.index
-            if index is None:
-                raise PoolError(
-                    f"scenario {scenario.spec.dataset}:{scenario.spec.model} "
-                    "has no catalogue index; the worker pool can only serve "
-                    "indexed models (encode_catalog protocol)")
-            matrix, version = index.snapshot()
-            key = scenario.spec.key
-            name = self._store.publish(f"g1-{key[0]}-{key[1]}",
-                                       {"catalog": matrix})
-            self._generation[key] = 1
-            self._segment[key] = name
-            boot[key] = {"segment": name, "version": version,
-                         "num_items": scenario.dataset.num_items,
-                         "generation": 1}
+        self._workers: list[_WorkerHandle] = []
         self._m_fence = metrics.histogram(
             "repro_pool_fence_seconds",
             "generation-fence wall time (publish ack wait)")
@@ -500,28 +494,56 @@ class WorkerPool:
             "repro_pool_worker_deaths_total",
             "pool worker processes that died unexpectedly "
             "(clean shutdown is not counted)")
-        self._workers: list[_WorkerHandle] = []
-        for worker_id in range(workers):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(worker_id, child_conn, parent_conn, registry, boot,
-                      self._settings),
-                name=f"repro-pool-{worker_id}", daemon=True)
-            process.start()
-            child_conn.close()             # parent keeps only its own end
-            handle = _WorkerHandle(worker_id, process, parent_conn)
-            handle.reader = threading.Thread(
-                target=self._read_loop, args=(handle,),
-                name=f"repro-pool-reader-{worker_id}", daemon=True)
-            handle.reader.start()
-            self._workers.append(handle)
+        try:
+            self._start(context, workers)
+        except BaseException:
+            self.close()           # no segment or worker outlives a failure
+            raise
+
+    def _start(self, context, workers: int) -> None:
+        """Publish every scenario's first generation and fork the workers."""
+        boot: dict[tuple[str, str], dict] = {}
+        for scenario in self.registry:
+            matrix, version = scenario.recommender.index.snapshot()
+            key = scenario.spec.key
+            fd = self._store.publish(f"g1-{key[0]}-{key[1]}",
+                                     {"catalog": matrix})
+            self._generation[key] = 1
+            self._segment[key] = fd
+            boot[key] = {"segment": fd, "version": version,
+                         "num_items": scenario.dataset.num_items,
+                         "generation": 1}
+        # A free heap page the workers inherit would be copied once the
+        # parent reuses it, leaving the worker a private page of garbage:
+        # give the free pages back first (glibc only).
+        try:
+            ctypes.CDLL(None).malloc_trim(0)
+        except AttributeError:  # pragma: no cover - not glibc
+            pass
+        # Frozen objects leave the collector's lists, so a worker's
+        # collections never write to the pages it shares with the
+        # parent. Workers stay frozen; the parent thaws after the forks.
+        gc.freeze()
+        try:
+            for worker_id in range(workers):
+                parent_conn, child_conn = context.Pipe()
+                process = context.Process(
+                    target=_worker_main,
+                    args=(worker_id, child_conn, parent_conn, self.registry,
+                          boot, self._settings),
+                    name=f"repro-pool-{worker_id}", daemon=True)
+                process.start()
+                child_conn.close()         # parent keeps only its own end
+                handle = _WorkerHandle(worker_id, process, parent_conn)
+                handle.reader = threading.Thread(
+                    target=self._read_loop, args=(handle,),
+                    name=f"repro-pool-reader-{worker_id}", daemon=True)
+                handle.reader.start()
+                self._workers.append(handle)
+        finally:
+            gc.unfreeze()
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def shm_prefix(self) -> str:
-        return self._store.prefix
 
     @property
     def size(self) -> int:
@@ -605,8 +627,9 @@ class WorkerPool:
         """Dispatch one request; returns the worker's JSON payload.
 
         Requests are read-only and idempotent, so a request lost to a
-        worker death is transparently retried on another worker. One
-        that times out is forgotten: a late reply to it is dropped.
+        worker death is transparently retried on another worker; with no
+        live worker left to answer it, it raises :class:`PoolUnavailable`.
+        One that times out is forgotten: a late reply to it is dropped.
         """
         gate = self._gates.get(key)
         if gate is not None:
@@ -648,12 +671,15 @@ class WorkerPool:
                 with handle.lock:
                     handle.pending.pop(req_id, None)
                 raise
-        raise last_error or PoolError("no live pool workers")
+        raise PoolUnavailable("no live pool worker could answer") \
+            from last_error
 
     # -- control path --------------------------------------------------------
 
     def _control(self, handle: _WorkerHandle, kind: str,
-                 payload: tuple = ()) -> tuple[str, Future]:
+                 payload: tuple = (), fd: int | None = None
+                 ) -> tuple[str, Future]:
+        """Send one control message, and ``fd`` right behind it if given."""
         token = f"c{next(self._seq)}"
         future: Future = Future()
         with handle.lock:
@@ -663,13 +689,17 @@ class WorkerPool:
         try:
             with handle.send_lock:
                 handle.conn.send((kind, token) + payload)
+                if fd is not None:
+                    reduction.send_handle(handle.conn, fd,
+                                          handle.process.pid)
         except (BrokenPipeError, OSError):
             self._mark_dead(handle)
             raise WorkerDied(f"pool worker {handle.id} died") from None
         return token, future
 
-    def _broadcast(self, kind: str, payload: tuple = ()) -> list:
-        """Send one control message to every live worker.
+    def _broadcast(self, kind: str, payload: tuple = (),
+                   fd: int | None = None) -> list:
+        """Send one control message (and ``fd``) to every live worker.
 
         Returns ``(handle, token, future)`` per worker it reached.
         """
@@ -678,7 +708,8 @@ class WorkerPool:
             if not handle.alive:
                 continue
             try:
-                waits.append((handle, *self._control(handle, kind, payload)))
+                waits.append((handle, *self._control(handle, kind, payload,
+                                                     fd)))
             except WorkerDied:
                 continue
         return waits
@@ -712,11 +743,10 @@ class WorkerPool:
         """Publish one scenario's new generation and fence every worker.
 
         Returns timing/ack info: ``publish_s`` (segment write),
-        ``fence_s`` (ack wait), ``drain_s`` (old-segment unlink). The
-        old segment is unlinked only after every live worker acked the
-        flip — by then no worker runs a batch on the old generation, so
-        nothing still *needs* the name (and existing maps survive an
-        unlink regardless).
+        ``fence_s`` (ack wait), ``drain_s`` (old-segment release). The
+        old segment's descriptor is closed only after every live worker
+        acked the flip — by then no worker runs a batch on the old
+        generation, and the workers' maps of it go as they unmap.
         """
         key = scenario.spec.key
         index = scenario.recommender.index
@@ -731,16 +761,16 @@ class WorkerPool:
             if model_changed:
                 for name, value in scenario.model.state_dict().items():
                     arrays[f"w:{name}"] = value
-            segment_name = self._store.publish(
-                f"g{generation}-{key[0]}-{key[1]}", arrays)
+            fd = self._store.publish(f"g{generation}-{key[0]}-{key[1]}",
+                                     arrays)
             published = time.perf_counter()
             self._fence_state = {"state": "fencing",
                                  "scenario": f"{key[0]}:{key[1]}",
                                  "generation": generation}
             with self._gates.setdefault(key, threading.Lock()):
                 waits = self._broadcast(
-                    "swap", (key, generation, segment_name, version,
-                             scenario.dataset.num_items, model_changed))
+                    "swap", (key, generation, version,
+                             scenario.dataset.num_items, model_changed), fd)
             acked, errors = 0, []
             for handle, reply in self._replies(waits, FENCE_TIMEOUT_S):
                 if isinstance(reply, WorkerDied):
@@ -755,9 +785,9 @@ class WorkerPool:
             fenced = time.perf_counter()
             old_segment = self._segment.get(key)
             self._generation[key] = generation
-            self._segment[key] = segment_name
+            self._segment[key] = fd
             if old_segment is not None:
-                self._store.unlink(old_segment)
+                self._store.release(old_segment)
             done = time.perf_counter()
             info = {"generation": generation, "version": version,
                     "workers": len(self._workers), "acked": acked,

@@ -197,8 +197,8 @@ def test_a_client_never_steps_back_a_generation_during_a_fence(
     written, go = threading.Event(), threading.Event()
     control = service.pool._control
 
-    def stalled(handle, kind, payload=()):
-        sent = control(handle, kind, payload)
+    def stalled(handle, kind, payload=(), fd=None):
+        sent = control(handle, kind, payload, fd)
         if kind == "swap" and handle.id == 0:
             written.set()
             go.wait(timeout=30)

@@ -5,7 +5,8 @@ Each test builds its own pool (never the shared module fixture used by
 test_pool.py) because the whole point is to damage it: SIGKILL a worker
 process, then assert the self-monitor flips within one sampling
 interval, names the right rule, keeps serving through rebalancing, and
-resolves once the death ages out of the rule window. SIGSTOP both
+resolves once the death ages out of the rule window. With no live
+worker left, ``/recommend`` is a counted 503, not a 500. SIGSTOP both
 workers, and a timed-out request, ``stats`` or ``metrics`` call leaves
 nothing behind and waits one timeout in all, not one per worker.
 """
@@ -21,6 +22,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs import metrics
 from repro.obs.health import default_rules
 from repro.serve import ModelRegistry, RecommendationService, make_server
 
@@ -125,8 +127,44 @@ def test_all_workers_dead_is_failing_and_health_answers_503(pooled):
         server.server_close()
 
 
+def _recommend_503s(url: str) -> float:
+    parsed = metrics.parse_prometheus(
+        urllib.request.urlopen(url + "/metrics", timeout=30).read().decode())
+    return sum(value for (name, labels), value in parsed.items()
+               if name == "repro_http_requests_total"
+               and metrics.parse_label_string(labels)
+               == {"method": "POST", "path": "/recommend", "status": "503"})
+
+
+def test_a_one_worker_pool_with_its_worker_dead_answers_503(capsys):
+    registry = ModelRegistry(profile="smoke", dtype="float32")
+    registry.add("kwai_food:sasrec", seed=0)
+    service = RecommendationService(registry, workers=1)
+    server = make_server(service, port=0)
+    server.start_background()
+    try:
+        _kill_worker(service)
+        _await_alive(service, 0)
+        before = _recommend_503s(server.url)
+        body = json.dumps({"dataset": "kwai_food", "model": "sasrec",
+                           "history": _history(service), "k": 5}).encode()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(urllib.request.Request(
+                server.url + "/recommend", data=body,
+                headers={"Content-Type": "application/json"}), timeout=30)
+        assert excinfo.value.code == 503
+        assert excinfo.value.headers["Retry-After"] == "1"
+        assert json.loads(excinfo.value.read().decode()) == {
+            "error": "no live pool worker could answer"}
+        assert _recommend_503s(server.url) == before + 1
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_clean_shutdown_never_counts_as_worker_death():
-    from repro.obs import metrics
     deaths = metrics.counter("repro_pool_worker_deaths_total")
     registry = ModelRegistry(profile="smoke", dtype="float32")
     registry.add("kwai_food:sasrec", seed=0)

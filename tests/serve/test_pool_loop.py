@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from contextlib import contextmanager
+from multiprocessing import reduction
 
 import numpy as np
 import pytest
@@ -22,8 +23,7 @@ from repro.serve import pool
 from repro.serve.index import FrozenCatalogIndex
 
 pytestmark = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"),
-    reason="POSIX shared memory filesystem required")
+    not hasattr(os, "memfd_create"), reason="Linux memfd_create required")
 
 SASREC = ("kwai_food", "sasrec")
 PMMREC = ("bili_food", "pmmrec-text")
@@ -47,8 +47,10 @@ def _worker(registry, messages: list, store: pool.SharedCatalogStore,
             max_batch: int = 32):
     """Fork one worker whose pipe already holds ``messages``.
 
-    Yields the parent's pipe end. ``messages`` should end in ``stop``:
-    the worker must return on it, and this joins it.
+    An ``int`` in ``messages`` is a segment descriptor, sent as the pool
+    sends one right behind its ``swap``. Yields the parent's pipe end.
+    ``messages`` should end in ``stop``: the worker must return on it,
+    and this joins it.
     """
     boot = {}
     for scenario in registry:
@@ -60,7 +62,10 @@ def _worker(registry, messages: list, store: pool.SharedCatalogStore,
     context = multiprocessing.get_context("fork")
     parent_conn, child_conn = context.Pipe()
     for message in messages:
-        parent_conn.send(message)
+        if isinstance(message, int):
+            reduction.send_handle(parent_conn, message, None)
+        else:
+            parent_conn.send(message)
     process = context.Process(
         target=pool._worker_main,
         args=(0, child_conn, parent_conn, registry, boot,
@@ -158,8 +163,8 @@ def test_a_swap_answers_the_requests_read_before_it_first(registry):
     num_items = scenario.dataset.num_items
     messages = [("req", 0, SASREC, histories[0], K),
                 ("req", 1, SASREC, histories[1], K),
-                ("swap", "c1", SASREC, 2, segment, version + 1, num_items,
-                 False),
+                ("swap", "c1", SASREC, 2, version + 1, num_items, False),
+                segment,
                 ("req", 2, SASREC, histories[2], K),
                 ("req", 3, SASREC, histories[3], K),
                 ("stop", "t1")]

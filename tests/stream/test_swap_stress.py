@@ -169,35 +169,52 @@ def test_swap_under_load_serves_whole_generations_only(stressed):
 
 @pytest.fixture()
 def pool_stressed():
-    """Worker-pool service + synchronous stream worker.
+    """Start a worker-pool service + synchronous stream worker.
 
     The pool MUST fork before any other threads exist in the service
     (fork snapshots the parent mid-thread otherwise), so the service is
     built first and the stream manager attached after — same order the
     CLI uses.
     """
-    registry = ModelRegistry(profile="smoke", dtype="float32")
-    registry.add("kwai_food:pmmrec-text", seed=0)
-    service = RecommendationService(registry, workers=2, max_wait_ms=1.0)
-    manager = StreamManager(service,
-                            StreamConfig(batch_size=4, steps_per_swap=2,
-                                         seed=0),
-                            start=False)
-    service.attach_stream(manager)
-    yield service, manager.worker("kwai_food", "pmmrec-text")
-    service.close()
+    services = []
+
+    def start(workers: int):
+        registry = ModelRegistry(profile="smoke", dtype="float32")
+        registry.add("kwai_food:pmmrec-text", seed=0)
+        service = RecommendationService(registry, workers=workers,
+                                        max_wait_ms=1.0)
+        services.append(service)
+        manager = StreamManager(service,
+                                StreamConfig(batch_size=4, steps_per_swap=2,
+                                             seed=0),
+                                start=False)
+        service.attach_stream(manager)
+        return service, manager.worker("kwai_food", "pmmrec-text")
+
+    yield start
+    for service in services:
+        service.close()
 
 
 def test_pooled_swap_under_load_zero_drops_whole_generations(pool_stressed):
+    _pooled_swap_under_load(*pool_stressed(workers=2), workers=2)
+
+
+def test_one_worker_pooled_swap_under_load_zero_drops_whole_generations(
+        pool_stressed):
+    """The ``repro stream`` default tier: one worker holds the fence."""
+    _pooled_swap_under_load(*pool_stressed(workers=1), workers=1)
+
+
+def _pooled_swap_under_load(service, worker, workers: int) -> None:
     """8-thread churn across a generation-fenced pooled hot swap.
 
     Same contract as the in-process stress above, but the swap now
-    crosses a process boundary: the stream worker publishes shared
-    segments, every pool worker acks the flip, and old segments unlink
-    after the drain. Every response must still be bitwise the answer of
-    one complete generation, with zero drops.
+    crosses a process boundary: the stream worker publishes a new
+    segment, every pool worker acks the flip, and the old segment is
+    released after the drain. Every response must still be bitwise the
+    answer of one complete generation, with zero drops.
     """
-    service, worker = pool_stressed
     scenario = service.registry.get("kwai_food", "pmmrec-text")
     dataset = scenario.dataset
     pool = [np.asarray(ex.history) for ex in dataset.split.test[:10]]
@@ -262,8 +279,8 @@ def test_pooled_swap_under_load_zero_drops_whole_generations(pool_stressed):
     assert version_b == version_a + 1
     # The fence actually ran: every worker acked the new generation.
     fence = reports[0].fence
-    assert fence is not None and fence["workers"] == 2
-    assert fence["acked"] == 2 and fence["errors"] == []
+    assert fence is not None and fence["workers"] == workers
+    assert fence["acked"] == workers and fence["errors"] == []
 
     expected.update(_expected_by_version(
         service.registry.get("kwai_food", "pmmrec-text"), pool))
@@ -283,7 +300,7 @@ def test_pooled_swap_under_load_zero_drops_whole_generations(pool_stressed):
     for versions in seen:
         assert versions == sorted(versions), versions
     # Both generations' answers came from pool workers; all still alive.
-    assert service.pool.alive() == 2
+    assert service.pool.alive() == workers
 
 
 def test_traffic_across_many_catalog_swaps_never_drops(stressed):

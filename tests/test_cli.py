@@ -101,6 +101,24 @@ def test_transfer_command(capsys):
     assert "[text_only]" in out
 
 
+def test_stream_serves_through_one_pool_worker_by_default():
+    parser = build_parser()
+    stream = parser.parse_args(["stream", "--scenarios", "hm:pmmrec"])
+    serve = parser.parse_args(["serve", "--scenarios", "hm:pmmrec"])
+    assert (stream.workers, serve.workers) == (1, 0)
+
+
+def test_stream_refuses_a_scenario_without_an_index(capsys):
+    code = main(["stream", "--profile", "smoke",
+                 "--scenarios", "kwai_food:pmmrec-text,kwai_food:pop"])
+    assert code == 2
+    captured = capsys.readouterr()
+    refusal = captured.err.strip().splitlines()
+    assert len(refusal) == 1, captured.err       # one line, no traceback
+    assert "kwai_food:pop" in refusal[0] and "--workers 0" in refusal[0]
+    assert "worker pool:" not in captured.out
+
+
 def test_serve_smoke_enables_self_monitoring_by_default(capsys):
     code = main(["serve", "--scenarios", "kwai_food:sasrec",
                  "--profile", "smoke", "--smoke"])
